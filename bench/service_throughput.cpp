@@ -81,7 +81,6 @@ struct BenchOptions {
   int cancelEvery = 0;  // 0 = never cancel
   bool replayVerify = false;
   int pipeline = 0;  // 0 = blocking v1 client; W > 0 = v2 window W
-  tprm::qos::QueueKind queueKind = tprm::qos::QueueKind::Mutex;
 };
 
 tprm::task::TunableJobSpec lightSpec(int index) {
@@ -155,7 +154,6 @@ struct LegResult {
   std::uint64_t spills = 0;
   std::uint64_t busyRetries = 0;
   std::string wire = "v1";
-  std::string queue = "mutex";
   int window = 0;  // in-flight window per connection (0 = blocking v1)
   bool ledgerOk = false;
   bool complete = false;
@@ -219,14 +217,12 @@ LegResult runLeg(const BenchOptions& options,
   LegResult leg;
   leg.shards = options.shards;
   leg.wire = options.pipeline > 0 ? "v2" : "v1";
-  leg.queue = qos::toString(options.queueKind);
   leg.window = options.pipeline;
 
   service::ServerConfig serverConfig;
   serverConfig.processors = options.procs;
   serverConfig.shards = options.shards;
   serverConfig.shardSpill = options.spill;
-  serverConfig.queueKind = options.queueKind;
   serverConfig.unixPath = "/tmp/tprm-bench-" + std::to_string(::getpid()) +
                           "-" + std::to_string(options.shards) + ".sock";
   service::NegotiationServer server(serverConfig);
@@ -492,7 +488,6 @@ LegResult runLeg(const BenchOptions& options,
 void legToJson(const LegResult& leg, tprm::JsonValue::Object& doc) {
   doc["shards"] = leg.shards;
   doc["wire"] = leg.wire;
-  doc["queue"] = leg.queue;
   doc["window"] = leg.window;
   doc["busy_retries"] = static_cast<std::int64_t>(leg.busyRetries);
   doc["completed_requests"] = leg.completed;
@@ -541,7 +536,7 @@ int main(int argc, char** argv) {
   const auto unknown = flags.unknownAgainst(
       {"clients", "requests", "procs", "out", "metrics-out", "shards",
        "sweep", "no-spill", "deep", "cancel-every", "replay-verify",
-       "pipeline", "require-speedup", "queue"});
+       "pipeline", "require-speedup"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "service_throughput: unknown flag --%s\n",
                  unknown.front().c_str());
@@ -560,15 +555,6 @@ int main(int argc, char** argv) {
   if (options.pipeline < 0) {
     std::fprintf(stderr, "service_throughput: --pipeline must be >= 0\n");
     return 2;
-  }
-  if (flags.has("queue")) {
-    const auto kind = qos::queueKindFromName(flags.getString("queue", ""));
-    if (!kind.has_value()) {
-      std::fprintf(stderr,
-                   "service_throughput: --queue wants mutex | mpsc | steal\n");
-      return 2;
-    }
-    options.queueKind = *kind;
   }
   const double requireSpeedup = flags.getDouble("require-speedup", 0.0);
   const std::string outPath = flags.getString("out", "");

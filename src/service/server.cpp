@@ -19,10 +19,6 @@ namespace {
 /// idle sweeps and shutdown flags are honoured promptly.
 constexpr std::chrono::milliseconds kPollSlice{50};
 
-/// deliverSeq sentinel for responses exempt from v1 submit-order delivery
-/// (all v2 traffic, plus desynced-stream errors).
-constexpr std::uint64_t kUnordered = ~std::uint64_t{0};
-
 /// iovec entries per sendmsg in the scatter-gather flush.  Comfortably
 /// below IOV_MAX (1024 on Linux); a busy batch rarely exceeds a few dozen
 /// frames per connection.
@@ -66,19 +62,16 @@ struct NegotiationServer::PendingCommand {
   std::optional<std::uint64_t> presetJobId;
   /// Stamped at enqueue when observability is on (0 otherwise).
   std::int64_t enqueuedNs = 0;
-  /// Where the response goes: the loop that owns the connection, the
-  /// connection itself, and (v1 only) the submit-order slot the response
-  /// must be delivered in.  kUnordered for v2.
+  /// Where the response goes: the loop that owns the connection, and the
+  /// connection itself.
   int loopIndex = 0;
   std::uint64_t connId = 0;
-  std::uint64_t deliverSeq = 0;
 };
 
 /// A finished command's encoded response — or a batch of reshape push
 /// events — travelling worker -> loop.
 struct NegotiationServer::ResponseMsg {
   std::uint64_t connId = 0;
-  std::uint64_t deliverSeq = 0;
   std::string payload;  // encoded response JSON (empty for push batches)
   /// Unsolicited reshape notification: does not consume an in-flight slot.
   /// The loop routes it by connection version — encoded as a RESHAPED push
@@ -99,19 +92,15 @@ struct NegotiationServer::Connection {
   std::size_t outOff = 0;
   std::size_t outBytes = 0;  // total unwritten bytes across outq
   bool wantWrite = false;   // EPOLLOUT armed
-  bool readPaused = false;  // EPOLLIN disarmed (v1 queue backpressure)
+  bool readPaused = false;  // EPOLLIN disarmed (v1 sent while in flight)
   bool closing = false;     // close once every pending response has flushed
   bool closed = false;      // socket gone; awaiting reap
   bool v2 = false;          // HELLO handshake completed
   bool sawFrame = false;    // first non-HELLO frame locks the connection v1
   std::uint32_t window = 1;    // negotiated v2 in-flight cap
-  std::uint32_t inFlight = 0;  // commands enqueued, response not delivered
-  /// v1 ordering: every inbound frame consumes one submit slot; responses
-  /// are written strictly in slot order even when sharded execution
-  /// completes out of order (held parks early completions).
-  std::uint64_t nextSubmitSeq = 0;
-  std::uint64_t nextDeliverSeq = 0;
-  std::map<std::uint64_t, std::string> held;
+  /// Commands enqueued whose response is not yet delivered.  At most one
+  /// on a v1 connection: its next frame is decoded only once this is 0.
+  std::uint32_t inFlight = 0;
   /// v1 only: reshape events awaiting a RESHAPES poll (bounded by
   /// config.reshapeEventBuffer; oldest dropped).
   std::deque<ReshapeEvent> reshapes;
@@ -120,8 +109,7 @@ struct NegotiationServer::Connection {
 
 /// One event loop: epoll set, eventfd wakeup, and the MPSC inbox other
 /// threads use to hand it work (new connections from the acceptors,
-/// responses and resume signals from the shard workers, shutdown phases
-/// from stop()).
+/// responses from the shard workers, shutdown phases from stop()).
 struct NegotiationServer::Loop {
   int index = 0;
   net::Epoll epoll;
@@ -131,7 +119,6 @@ struct NegotiationServer::Loop {
   std::mutex inboxMu;
   std::vector<net::Socket> pendingConns;       // guarded by inboxMu
   std::vector<ResponseMsg> pendingResponses;   // guarded by inboxMu
-  std::vector<std::uint64_t> pendingResumes;   // guarded by inboxMu
   bool drainRequested = false;                 // guarded by inboxMu
   bool finishRequested = false;                // guarded by inboxMu
 
@@ -144,18 +131,13 @@ struct NegotiationServer::Loop {
   Clock::time_point lastSweep{};
 };
 
-/// One shard's command queue and the worker draining it.  The queue itself
-/// is pluggable (config.queueKind, qos/command_queue.h); every kind is
-/// soft-bounded from the server's point of view: producers never block (the
-/// loop threads must not stall); at/above commandQueueCapacity v1 producers
-/// pause reading and v2 producers get `busy` instead.
+/// One shard's command queue and the worker draining it.  Producers never
+/// block (the loop threads must not stall): at/above commandQueueCapacity v2
+/// producers get `busy`, and v1 producers, one command per connection at
+/// most, are admitted past it.
 struct NegotiationServer::ShardQueue {
-  std::unique_ptr<qos::CommandQueue<std::shared_ptr<PendingCommand>>> impl;
-  /// (loopIndex, connId) of v1 connections paused on this queue's
-  /// backpressure; whoever drains the queue below capacity (its worker or,
-  /// in steal mode, a thief) flushes the list.
-  std::mutex throttledMu;
-  std::vector<std::pair<int, std::uint64_t>> throttled;  // guarded by ^
+  explicit ShardQueue(std::size_t capacity) : commands(capacity) {}
+  qos::CommandQueue<std::shared_ptr<PendingCommand>> commands;
   /// "server.queue_depth" (shards == 1) / "server.queue_depth.shard<k>".
   /// Sampled at enqueue from the depth the push itself observed, so the
   /// high-water mark catches every peak even when the worker drains whole
@@ -177,10 +159,8 @@ NegotiationServer::NegotiationServer(ServerConfig config)
   }
   queues_.reserve(static_cast<std::size_t>(config_.shards));
   for (int k = 0; k < config_.shards; ++k) {
-    auto queue = std::make_unique<ShardQueue>();
-    queue->impl = qos::makeCommandQueue<std::shared_ptr<PendingCommand>>(
-        config_.queueKind, config_.commandQueueCapacity);
-    queues_.push_back(std::move(queue));
+    queues_.push_back(
+        std::make_unique<ShardQueue>(config_.commandQueueCapacity));
   }
   if (config_.observability) {
     registry_ = std::make_unique<obs::MetricsRegistry>();
@@ -306,13 +286,12 @@ void NegotiationServer::stop() {
 
   // 3. No producers remain: close the queues and join each worker after it
   // has executed everything already admitted.  seqMutex_ serialises the
-  // close against any straggling enqueue; close() wakes parked consumers
-  // AND blocked bounded producers (both CVs — the lost-wakeup fix).
+  // close against any straggling enqueue; close() wakes a parked worker.
   {
     std::lock_guard<std::mutex> lock(seqMutex_);
-    queueClosed_.store(true);
+    queueClosed_ = true;
   }
-  for (auto& queue : queues_) queue->impl->close();
+  for (auto& queue : queues_) queue->commands.close();
   for (auto& queue : queues_) {
     if (queue->worker.joinable()) queue->worker.join();
   }
@@ -350,7 +329,6 @@ ServerCounters NegotiationServer::counters() const {
   counters.disconnectsMidRequest = disconnectsMidRequest_.load();
   counters.busyRejections = busyRejections_.load();
   counters.helloHandshakes = helloHandshakes_.load();
-  counters.batchesStolen = batchesStolen_.load();
   counters.reshapeEventsDispatched = reshapeEventsDispatched_.load();
   counters.reshapeEventsDropped = reshapeEventsDropped_.load();
   return counters;
@@ -486,14 +464,12 @@ void NegotiationServer::loopMain(Loop* loop) {
 void NegotiationServer::processInbox(Loop* loop) {
   std::vector<net::Socket> conns;
   std::vector<ResponseMsg> responses;
-  std::vector<std::uint64_t> resumes;
   bool drainRequested = false;
   bool finishRequested = false;
   {
     std::lock_guard<std::mutex> lock(loop->inboxMu);
     conns.swap(loop->pendingConns);
     responses.swap(loop->pendingResponses);
-    resumes.swap(loop->pendingResumes);
     drainRequested = loop->drainRequested;
     finishRequested = loop->finishRequested;
   }
@@ -502,6 +478,7 @@ void NegotiationServer::processInbox(Loop* loop) {
   // then flush each touched connection once: one write syscall per
   // connection per batch instead of one per response.
   std::vector<Connection*> touched;
+  std::vector<Connection*> answeredV1;  // v1: its one command just answered
   for (auto& msg : responses) {
     const auto it = loop->conns.find(msg.connId);
     if (it == loop->conns.end() || it->second->closed) {
@@ -530,7 +507,7 @@ void NegotiationServer::processInbox(Loop* loop) {
         result.events = std::move(msg.events);
         response.result = std::move(result);
         stampWindow(&response);
-        deliverResponse(loop, conn, kUnordered, encodeResponse(response));
+        deliverResponse(loop, conn, encodeResponse(response));
       } else {
         for (auto& event : msg.events) {
           if (conn->reshapes.size() >= config_.reshapeEventBuffer) {
@@ -546,22 +523,24 @@ void NegotiationServer::processInbox(Loop* loop) {
       continue;
     }
     if (conn->inFlight > 0) --conn->inFlight;
-    deliverResponse(loop, conn, msg.deliverSeq, msg.payload);
+    deliverResponse(loop, conn, msg.payload);
     if (std::find(touched.begin(), touched.end(), conn) == touched.end()) {
       touched.push_back(conn);
     }
+    if (!conn->v2) answeredV1.push_back(conn);
   }
   for (Connection* conn : touched) flushOut(loop, conn);
-  for (const auto connId : resumes) {
-    const auto it = loop->conns.find(connId);
-    if (it == loop->conns.end() || it->second->closed) continue;
-    Connection* conn = it->second.get();
-    if (!conn->readPaused || loop->draining) continue;
-    conn->readPaused = false;
-    updateInterest(loop, conn);
-    // Frames decoded before the pause are still buffered; process them
-    // first — the level-triggered read interest covers the rest.
+  // A v1 connection whose command was answered may take its next frame —
+  // but only now that the whole batch is applied: a RESHAPES poll queued
+  // behind a NEGOTIATE must see the moves that NEGOTIATE triggered, and
+  // they arrive in the same batch as its response.
+  for (Connection* conn : answeredV1) {
+    if (conn->closed || loop->draining) continue;
     processDecodedFrames(loop, conn);
+    if (conn->readPaused && conn->inFlight == 0 && !conn->closed) {
+      conn->readPaused = false;
+      updateInterest(loop, conn);
+    }
   }
   if (drainRequested && !loop->draining) {
     loop->draining = true;
@@ -601,11 +580,24 @@ void NegotiationServer::registerConnection(Loop* loop, net::Socket socket) {
 }
 
 void NegotiationServer::handleReadable(Loop* loop, Connection* conn) {
+  if (!conn->v2 && conn->inFlight > 0) {
+    // A v1 peer sent ahead of its answer.  Leave the bytes in the kernel
+    // and stop watching the socket until the answer is delivered
+    // (processInbox re-arms).  Spec-following peers never get here, so they
+    // pay no epoll_ctl per request.
+    if (!conn->readPaused) {
+      conn->readPaused = true;
+      updateInterest(loop, conn);
+    }
+    return;
+  }
   char buffer[65536];
   // Read until WouldBlock, bounded per event so one firehose connection
   // cannot starve the rest of the loop (level-triggered epoll re-fires).
+  // A v1 connection stops once it has a command in flight.
   for (int round = 0; round < 8; ++round) {
-    if (conn->closed || conn->closing || conn->readPaused || loop->draining) {
+    if (conn->closed || conn->closing || loop->draining ||
+        (!conn->v2 && conn->inFlight > 0)) {
       return;
     }
     const auto chunk = conn->socket.readSome(buffer, sizeof buffer);
@@ -632,19 +624,24 @@ void NegotiationServer::handleReadable(Loop* loop, Connection* conn) {
 }
 
 void NegotiationServer::processDecodedFrames(Loop* loop, Connection* conn) {
+  // A v1 connection holds at most one command in flight; its next frame
+  // waits in the decoder until the answer is delivered.
+  const auto mayDecode = [conn] {
+    return !conn->closed && !conn->closing &&
+           (conn->v2 || conn->inFlight == 0);
+  };
   std::string payload;
-  while (!conn->closed && !conn->closing && !conn->readPaused &&
-         conn->decoder.next(&payload)) {
+  while (mayDecode() && conn->decoder.next(&payload)) {
     handleFrame(loop, conn, payload);
   }
-  if (!conn->closed && !conn->closing && conn->decoder.failed()) {
+  if (mayDecode() && conn->decoder.failed()) {
     framesOversized_.fetch_add(1);
     // The declared payload is never buffered, so the stream is desynced:
     // answer best-effort, then drop the connection once the error flushes.
     conn->closing = true;
     updateInterest(loop, conn);
     deliverResponse(
-        loop, conn, kUnordered,
+        loop, conn,
         encodeResponse(
             makeError(0, "frame_too_large", conn->decoder.message())));
   }
@@ -662,8 +659,7 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
     framesMalformed_.fetch_add(1);
     const auto response =
         encodeResponse(makeError(0, "bad_request", decoded.error));
-    deliverResponse(loop, conn,
-                    conn->v2 ? kUnordered : conn->nextSubmitSeq++, response);
+    deliverResponse(loop, conn, response);
     return;
   }
   Request request = std::move(*decoded.request);
@@ -687,9 +683,7 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
       response.ok = true;
       response.result = HelloResult{kProtocolVersionV2, conn->window};
     }
-    deliverResponse(loop, conn,
-                    conn->v2 ? kUnordered : conn->nextSubmitSeq++,
-                    encodeResponse(response));
+    deliverResponse(loop, conn, encodeResponse(response));
     return;
   }
 
@@ -706,9 +700,7 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
     conn->reshapes.clear();
     response.result = std::move(result);
     stampWindow(&response);
-    deliverResponse(loop, conn,
-                    conn->v2 ? kUnordered : conn->nextSubmitSeq++,
-                    encodeResponse(response));
+    deliverResponse(loop, conn, encodeResponse(response));
     return;
   }
   if (conn->v2) {
@@ -721,7 +713,7 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
       Response busy = makeError(request.id, "busy",
                                 "in-flight window exceeded; retry");
       busy.advertisedWindow = effective;
-      deliverResponse(loop, conn, kUnordered, encodeResponse(busy));
+      deliverResponse(loop, conn, encodeResponse(busy));
       return;
     }
   }
@@ -730,83 +722,52 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
   command->request = std::move(request);
   command->loopIndex = loop->index;
   command->connId = conn->id;
-  command->deliverSeq = conn->v2 ? kUnordered : conn->nextSubmitSeq;
-  const EnqueueStatus status = enqueue(command, conn->v2);
-  switch (status) {
+  switch (enqueue(command, conn->v2)) {
     case EnqueueStatus::Busy: {
       busyRejections_.fetch_add(1);
       Response busy = makeError(command->request.id, "busy",
                                 "command queue full; retry");
       busy.advertisedWindow = std::min(conn->window, dynamicWindowNow());
-      deliverResponse(loop, conn, kUnordered, encodeResponse(busy));
+      deliverResponse(loop, conn, encodeResponse(busy));
       return;
     }
-    case EnqueueStatus::Closed: {
-      const auto response = encodeResponse(
-          makeError(command->request.id, "shutting_down",
-                    "server is draining; retry elsewhere"));
+    case EnqueueStatus::Closed:
       deliverResponse(loop, conn,
-                      conn->v2 ? kUnordered : conn->nextSubmitSeq++,
-                      response);
+                      encodeResponse(makeError(
+                          command->request.id, "shutting_down",
+                          "server is draining; retry elsewhere")));
       conn->closing = true;
       updateInterest(loop, conn);
       flushOut(loop, conn);
       return;
-    }
-    case EnqueueStatus::OkThrottle:
-      conn->readPaused = true;
-      updateInterest(loop, conn);
-      [[fallthrough]];
     case EnqueueStatus::Ok:
-      if (!conn->v2) ++conn->nextSubmitSeq;
       ++conn->inFlight;
       return;
   }
 }
 
 void NegotiationServer::deliverResponse(Loop* loop, Connection* conn,
-                                        std::uint64_t deliverSeq,
                                         const std::string& payload) {
   if (conn->closed) return;
-  auto append = [&](const std::string& encoded) {
-    std::string framed;
-    const auto wrote = net::appendFrame(framed, encoded, frameLimits_);
-    if (!wrote.ok()) {
-      // A response over the frame limit cannot be sent; the stream would
-      // desync if we dropped it silently mid-sequence, so drop the
-      // connection (mirrors the blocking server's failed writeFrame).
-      if (conn->inFlight == 0) disconnectsMidRequest_.fetch_add(1);
-      closeConnection(loop, conn);
-      return false;
-    }
-    conn->outBytes += framed.size();
-    conn->outq.push_back(std::move(framed));
-    return true;
-  };
-  if (deliverSeq == kUnordered) {
-    if (!append(payload)) return;
-  } else if (deliverSeq == conn->nextDeliverSeq) {
-    if (!append(payload)) return;
-    ++conn->nextDeliverSeq;
-    auto it = conn->held.find(conn->nextDeliverSeq);
-    while (it != conn->held.end()) {
-      if (!append(it->second)) return;
-      conn->held.erase(it);
-      ++conn->nextDeliverSeq;
-      it = conn->held.find(conn->nextDeliverSeq);
-    }
-  } else {
-    // Out-of-order completion on a v1 connection: park until the earlier
-    // responses have been written.
-    conn->held[deliverSeq] = payload;
+  std::string framed;
+  const auto wrote = net::appendFrame(framed, payload, frameLimits_);
+  if (!wrote.ok()) {
+    // A response over the frame limit cannot be sent; the stream would
+    // desync if we dropped it silently mid-sequence, so drop the
+    // connection (mirrors the blocking server's failed writeFrame).
+    if (conn->inFlight == 0) disconnectsMidRequest_.fetch_add(1);
+    closeConnection(loop, conn);
+    return;
   }
+  conn->outBytes += framed.size();
+  conn->outq.push_back(std::move(framed));
   // No flush here: callers batch — appends accumulate and the caller
   // flushes each touched connection once per event/inbox batch.
 }
 
 void NegotiationServer::flushOut(Loop* loop, Connection* conn) {
   if (conn->closed) return;
-  const bool drained = conn->inFlight == 0 && conn->held.empty();
+  const bool drained = conn->inFlight == 0;
   while (conn->outBytes > 0) {
     // Scatter-gather over the queued frames: one sendmsg covers up to
     // kMaxIov frames with no coalescing copy.
@@ -888,7 +849,7 @@ void NegotiationServer::sweepIdle(Loop* loop) {
   const auto now = Clock::now();
   for (auto& [id, conn] : loop->conns) {
     Connection* c = conn.get();
-    if (c->closed || c->closing || c->readPaused) continue;
+    if (c->closed || c->closing) continue;
     if (c->inFlight > 0 || c->outBytes > 0) continue;
     if (now - c->lastActivity > config_.idleTimeout) {
       closeConnection(loop, c);
@@ -901,7 +862,7 @@ void NegotiationServer::sweepIdle(Loop* loop) {
 NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
     const std::shared_ptr<PendingCommand>& command, bool allowBusy) {
   std::lock_guard<std::mutex> seqLock(seqMutex_);
-  if (queueClosed_.load()) return EnqueueStatus::Closed;
+  if (queueClosed_) return EnqueueStatus::Closed;
   // Route before committing anything: a negotiation's job id — the next to
   // be reserved, peeked here — fixes its home shard; cancels follow the
   // job's home shard so cancel-after-negotiate pairs stay ordered;
@@ -917,7 +878,7 @@ NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
   }
   auto& queue = *queues_[target];
   if (allowBusy &&
-      queue.impl->approxDepth() >= config_.commandQueueCapacity) {
+      queue.commands.approxDepth() >= config_.commandQueueCapacity) {
     // v2 backpressure: refuse before drawing a sequence number or job id,
     // so the wire trace and the replayed id stream only ever contain
     // commands that executed.  approxDepth is exact on the producer side —
@@ -958,7 +919,11 @@ NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
     }
   }
   if (trace_ != nullptr) command->enqueuedNs = obs::monotonicNanos();
-  const auto pushed = queue.impl->push(command, /*refuseAtCapacity=*/false);
+  // Past the v2 check above nothing refuses: a v1 connection has no other
+  // command in flight, so a queue overshoots its capacity by at most one
+  // command per v1 connection.
+  const auto pushed =
+      queue.commands.push(command, /*refuseAtCapacity=*/false);
   if (pushed.status == qos::QueuePush::Closed) {
     // Unreachable in practice — close happens under seqMutex_, checked at
     // entry — but the contract allows it, so don't mislead the caller.
@@ -970,177 +935,84 @@ NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
     // whole batch before the next enqueue (the undercount bugfix).
     queue.depth->set(static_cast<std::int64_t>(pushed.depth));
   }
-  EnqueueStatus status = EnqueueStatus::Ok;
-  if (!allowBusy && pushed.status == qos::QueuePush::OkAtCapacity) {
-    // v1 backpressure: the command is in (order preserved), but the
-    // connection must stop producing until the worker drains the queue.
-    {
-      std::lock_guard<std::mutex> lock(queue.throttledMu);
-      queue.throttled.emplace_back(command->loopIndex, command->connId);
-    }
-    status = EnqueueStatus::OkThrottle;
-    // Lost-resume closure: the worker flushes `throttled` only on drains
-    // that leave the queue under capacity, and it may have drained this
-    // very command before the registration above landed — then nothing
-    // would ever resume the connection.  Each side writes before it reads
-    // (we publish the entry, then re-read depth; the worker drains, then
-    // reads the list), so at least one observes the other: either the
-    // worker saw our entry and resumes, or we see the drained queue here
-    // and retract the pause before it starts.  A resume racing this
-    // retraction is discarded by the loop's !readPaused guard.
-    if (queue.impl->approxDepth() < config_.commandQueueCapacity) {
-      std::lock_guard<std::mutex> lock(queue.throttledMu);
-      const auto entry =
-          std::make_pair(command->loopIndex, command->connId);
-      const auto it = std::find(queue.throttled.begin(),
-                                queue.throttled.end(), entry);
-      if (it != queue.throttled.end()) queue.throttled.erase(it);
-      status = EnqueueStatus::Ok;
-    }
-  }
-  return status;
+  return EnqueueStatus::Ok;
 }
 
 void NegotiationServer::workerLoop(int shard) {
-  auto& own = *queues_[static_cast<std::size_t>(shard)];
+  auto& queue = *queues_[static_cast<std::size_t>(shard)];
   std::vector<std::shared_ptr<PendingCommand>> batch;
-  std::vector<std::pair<int, std::uint64_t>> resumes;
   std::vector<std::vector<ResponseMsg>> perLoop(loops_.size());
-  const bool stealing =
-      config_.queueKind == qos::QueueKind::Steal && queues_.size() > 1;
-  for (;;) {
-    if (drainAndExecute(&own, &batch, &resumes, &perLoop)) continue;
-    if (stealing) {
-      // Idle: help the deepest sibling instead of sleeping.  Claiming its
-      // consumer token — and holding it across execution — keeps that
-      // shard's commands in arrivalSeq order even though a foreign worker
-      // runs them, which is what lets stealing absorb queue imbalance
-      // without touching the arbitrator's spill logic.
-      std::size_t deepest = 0;
-      int victim = -1;
-      for (std::size_t k = 0; k < queues_.size(); ++k) {
-        if (static_cast<int>(k) == shard) continue;
-        const std::size_t d = queues_[k]->impl->approxDepth();
-        if (d > deepest) {
-          deepest = d;
-          victim = static_cast<int>(k);
+  // Batched handoff: one wakeup drains up to workerBatch commands (FIFO, so
+  // execution order == arrivalSeq order per shard).  drainUpTo returns 0
+  // only once stop() has closed the queue and everything admitted ran.
+  while (queue.commands.drainUpTo(config_.workerBatch, &batch) > 0) {
+    if (queue.depth != nullptr) {
+      queue.depth->set(
+          static_cast<std::int64_t>(queue.commands.approxDepth()));
+    }
+    if (config_.workerSeamForTest) config_.workerSeamForTest();
+    for (const auto& command : batch) {
+      const std::int64_t startNs =
+          trace_ != nullptr ? obs::monotonicNanos() : 0;
+      std::vector<qos::QualityMove> moves;
+      Response response = execute(command->request, command->arrivalSeq,
+                                  command->presetJobId, &moves);
+      response.id = command->request.id;
+      stampWindow(&response);
+      commandsExecuted_.fetch_add(1);
+      if (trace_ != nullptr) recordSpan(*command, response, startNs);
+      ResponseMsg msg;
+      msg.connId = command->connId;
+      msg.payload = encodeResponse(response);
+      perLoop[static_cast<std::size_t>(command->loopIndex)].push_back(
+          std::move(msg));
+      // Route each committed quality move to the connection that
+      // negotiated the moved job (it may be this command's own connection
+      // or any other).  Moves with no reachable owner are dropped — the
+      // arbitrator state is committed regardless.
+      for (const auto& move : moves) {
+        std::pair<int, std::uint64_t> origin;
+        {
+          std::lock_guard<std::mutex> originLock(originMu_);
+          const auto it = originByJob_.find(move.jobId);
+          if (it == originByJob_.end()) {
+            reshapeEventsDropped_.fetch_add(1);
+            continue;
+          }
+          origin = it->second;
         }
-      }
-      if (victim >= 0 &&
-          drainAndExecute(queues_[static_cast<std::size_t>(victim)].get(),
-                          &batch, &resumes, &perLoop)) {
-        batchesStolen_.fetch_add(1);
-        continue;
+        ReshapeEvent event;
+        event.jobId = move.jobId;
+        event.promotion = move.promotion;
+        event.fromChain = move.fromChain;
+        event.toChain = move.toChain;
+        event.fromQuality = move.fromQuality;
+        event.toQuality = move.toQuality;
+        event.placements = move.schedule.placements;
+        ResponseMsg pushMsg;
+        pushMsg.connId = origin.second;
+        pushMsg.push = true;
+        pushMsg.events.push_back(std::move(event));
+        reshapeEventsDispatched_.fetch_add(1);
+        perLoop[static_cast<std::size_t>(origin.first)].push_back(
+            std::move(pushMsg));
       }
     }
-    if (own.impl->closed() && own.impl->approxDepth() == 0) return;
-    // Steal mode polls so an idle worker notices sibling depth; otherwise
-    // sleep until a producer or close() wakes this queue.
-    own.impl->waitNonEmpty(stealing ? std::chrono::milliseconds(1)
-                                    : qos::kWaitForever);
-  }
-}
-
-bool NegotiationServer::drainAndExecute(
-    ShardQueue* queue, std::vector<std::shared_ptr<PendingCommand>>* batchPtr,
-    std::vector<std::pair<int, std::uint64_t>>* resumesPtr,
-    std::vector<std::vector<ResponseMsg>>* perLoopPtr) {
-  auto& batch = *batchPtr;
-  auto& resumes = *resumesPtr;
-  auto& perLoop = *perLoopPtr;
-  if (!queue->impl->tryClaimConsumer()) return false;
-  batch.clear();
-  resumes.clear();
-  // Batched handoff: one claim drains up to workerBatch commands (FIFO, so
-  // drain order == arrivalSeq order per shard).
-  const std::size_t n = queue->impl->tryDrainUpTo(config_.workerBatch, &batch);
-  if (n == 0) {
-    queue->impl->releaseConsumer();
-    return false;
-  }
-  const std::size_t depthNow = queue->impl->approxDepth();
-  if (queue->depth != nullptr) {
-    queue->depth->set(static_cast<std::int64_t>(depthNow));
-  }
-  if (depthNow < config_.commandQueueCapacity) {
-    std::lock_guard<std::mutex> lock(queue->throttledMu);
-    if (!queue->throttled.empty()) resumes.swap(queue->throttled);
-  }
-  // Wake paused readers before the (comparatively slow) execution pass.
-  for (const auto& [loopIndex, connId] : resumes) {
-    auto& loop = *loops_[static_cast<std::size_t>(loopIndex)];
-    {
-      std::lock_guard<std::mutex> lock(loop.inboxMu);
-      loop.pendingResumes.push_back(connId);
-    }
-    loop.wakeup.signal();
-  }
-  if (config_.workerSeamForTest) config_.workerSeamForTest();
-  for (const auto& command : batch) {
-    const std::int64_t startNs = trace_ != nullptr ? obs::monotonicNanos() : 0;
-    std::vector<qos::QualityMove> moves;
-    Response response = execute(command->request, command->arrivalSeq,
-                                command->presetJobId, &moves);
-    response.id = command->request.id;
-    stampWindow(&response);
-    commandsExecuted_.fetch_add(1);
-    if (trace_ != nullptr) recordSpan(*command, response, startNs);
-    ResponseMsg msg;
-    msg.connId = command->connId;
-    msg.deliverSeq = command->deliverSeq;
-    msg.payload = encodeResponse(response);
-    perLoop[static_cast<std::size_t>(command->loopIndex)].push_back(
-        std::move(msg));
-    // Route each committed quality move to the connection that
-    // negotiated the moved job (it may be this command's own connection
-    // or any other).  Moves with no reachable owner are dropped — the
-    // arbitrator state is committed regardless.
-    for (const auto& move : moves) {
-      std::pair<int, std::uint64_t> origin;
+    // One inbox lock + one eventfd wakeup per loop per batch.
+    for (std::size_t i = 0; i < perLoop.size(); ++i) {
+      if (perLoop[i].empty()) continue;
+      auto& loop = *loops_[i];
       {
-        std::lock_guard<std::mutex> originLock(originMu_);
-        const auto it = originByJob_.find(move.jobId);
-        if (it == originByJob_.end()) {
-          reshapeEventsDropped_.fetch_add(1);
-          continue;
+        std::lock_guard<std::mutex> lock(loop.inboxMu);
+        for (auto& msg : perLoop[i]) {
+          loop.pendingResponses.push_back(std::move(msg));
         }
-        origin = it->second;
       }
-      ReshapeEvent event;
-      event.jobId = move.jobId;
-      event.promotion = move.promotion;
-      event.fromChain = move.fromChain;
-      event.toChain = move.toChain;
-      event.fromQuality = move.fromQuality;
-      event.toQuality = move.toQuality;
-      event.placements = move.schedule.placements;
-      ResponseMsg pushMsg;
-      pushMsg.connId = origin.second;
-      pushMsg.deliverSeq = kUnordered;
-      pushMsg.push = true;
-      pushMsg.events.push_back(std::move(event));
-      reshapeEventsDispatched_.fetch_add(1);
-      perLoop[static_cast<std::size_t>(origin.first)].push_back(
-          std::move(pushMsg));
+      loop.wakeup.signal();
+      perLoop[i].clear();
     }
+    batch.clear();
   }
-  // One inbox lock + one eventfd wakeup per loop per batch.
-  for (std::size_t i = 0; i < perLoop.size(); ++i) {
-    if (perLoop[i].empty()) continue;
-    auto& loop = *loops_[i];
-    {
-      std::lock_guard<std::mutex> lock(loop.inboxMu);
-      for (auto& msg : perLoop[i]) {
-        loop.pendingResponses.push_back(std::move(msg));
-      }
-    }
-    loop.wakeup.signal();
-    perLoop[i].clear();
-  }
-  // Release only after execution: the claim token is what serialises
-  // per-shard execution across owner and thieves.
-  queue->impl->releaseConsumer();
-  return true;
 }
 
 void NegotiationServer::rebalanceLoop() {
@@ -1187,7 +1059,7 @@ void NegotiationServer::recordSpan(const PendingCommand& command,
 std::uint32_t NegotiationServer::dynamicWindowNow() const {
   std::size_t depth = 0;
   for (const auto& queue : queues_) {
-    depth = std::max(depth, queue->impl->approxDepth());
+    depth = std::max(depth, queue->commands.approxDepth());
   }
   const auto full = static_cast<std::uint32_t>(std::min<std::size_t>(
       std::max<std::size_t>(config_.maxInFlightPerConnection, 1),

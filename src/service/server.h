@@ -13,22 +13,25 @@
 //                          │  NEGOTIATE/CANCEL: queue[jobId % K]
 //                          │  RESIZE/STATS/VERIFY: queue[0]
 //                          ▼
-//          K command queues  (backpressure: v1 connections pause reads,
-//                             v2 connections get a typed `busy` error)
+//          K command queues  (backpressure: v2 connections get a typed
+//                             `busy` error; a v1 connection never has more
+//                             than one command queued)
 //                          │
 //                          ▼
 //          K worker threads over one qos::ShardedArbitrator
 //                          │  drain up to workerBatch commands per wakeup
 //                          ▼
 //          responses handed back to the owning loop (eventfd MPSC inbox),
-//          correlated by requestId (v2) or delivered in submit order (v1)
+//          correlated by requestId (v2) or answering the one request in
+//          flight (v1)
 //
 // A connection speaks wire protocol v1 unless its first frame is HELLO
 // (docs/wire_protocol.md).  v1 keeps the classic one-request-one-response
-// contract: even though sharded execution can finish out of order, the loop
-// holds completed responses until all earlier ones on that connection have
-// been written.  v2 connections carry up to a negotiated window of
-// in-flight requests and receive responses in completion order.
+// contract: the loop decodes a v1 connection's next frame only once the
+// previous command has been answered, so a v1 connection has at most one
+// command in flight and its responses leave in submit order.  v2
+// connections carry up to a negotiated window of in-flight requests and
+// receive responses in completion order.
 //
 // With shards == 1 this degenerates to the classic single-writer design:
 // one queue, one worker, total arrivalSeq order, and (the replay tests pin
@@ -51,11 +54,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -107,8 +108,10 @@ struct ServerConfig {
   /// Per-frame payload cap for both directions.
   std::size_t maxFrameBytes = 1 << 20;
   /// Commands admitted but not yet executed, per shard queue.  At or above
-  /// this threshold v1 connections stop being read (resumed when the worker
-  /// drains below it) and v2 enqueues are refused with a `busy` error.
+  /// this threshold v2 enqueues are refused with a `busy` error.  v1
+  /// enqueues are never refused: each v1 connection holds at most one
+  /// command in flight, so a queue's depth can exceed this by at most one
+  /// command per v1 connection (maxSessions bounds the overshoot).
   std::size_t commandQueueCapacity = 256;
   /// Server-side cap on the v2 per-connection in-flight window; HELLO
   /// grants min(requested, this).  Requests beyond the granted window get
@@ -147,12 +150,6 @@ struct ServerConfig {
   /// Per-connection cap on reshape events buffered for v1 RESHAPES polls;
   /// oldest events are dropped (and counted) beyond it.
   std::size_t reshapeEventBuffer = 256;
-  /// Server→shard handoff queue implementation (qos/command_queue.h).
-  /// Mutex is the decision-identical baseline; Mpsc swaps in the lock-free
-  /// linked intake; Steal additionally lets idle shard workers drain (and
-  /// execute, under the victim's consumer claim — per-shard arrivalSeq
-  /// order holds) batches from the deepest sibling queue.
-  qos::QueueKind queueKind = qos::QueueKind::Mutex;
   /// Test-only seam: when set, a shard worker calls it after draining a
   /// batch and before executing it.  Lets tests hold a worker mid-batch to
   /// deterministically fill a queue (gauge high-water, shutdown-wedge
@@ -182,9 +179,6 @@ struct ServerCounters {
   std::uint64_t busyRejections = 0;
   /// Successful HELLO handshakes (connections upgraded to v2).
   std::uint64_t helloHandshakes = 0;
-  /// Steal-mode only: batches a shard worker drained from a sibling's
-  /// queue instead of its own.
-  std::uint64_t batchesStolen = 0;
   /// Elastic reshape events delivered toward a client (pushed on v2 or
   /// buffered for a v1 poll).
   std::uint64_t reshapeEventsDispatched = 0;
@@ -250,26 +244,14 @@ class NegotiationServer {
   struct ShardQueue;
 
   enum class EnqueueStatus {
-    Ok,          // admitted; response will arrive via the loop inbox
-    OkThrottle,  // admitted, but the target queue is at capacity — pause
-                 // reading this (v1) connection until the worker drains
-    Busy,        // refused (v2 + queue full); nothing was committed
-    Closed,      // server draining; nothing was committed
+    Ok,      // admitted; response will arrive via the loop inbox
+    Busy,    // refused (v2 + queue full); nothing was committed
+    Closed,  // server draining; nothing was committed
   };
 
   void acceptLoop(net::Listener* listener);
   void loopMain(Loop* loop);
   void workerLoop(int shard);
-  /// Claims `queue`'s consumer token, drains up to workerBatch commands
-  /// and executes them with the token still held (so per-shard commands
-  /// execute in arrivalSeq order no matter which worker drains), posts
-  /// responses and throttle resumes, then releases the token.  Returns
-  /// false — with nothing drained — when the token is taken or the queue
-  /// is empty.  `batch`/`resumes`/`perLoop` are caller-owned scratch.
-  bool drainAndExecute(ShardQueue* queue,
-                       std::vector<std::shared_ptr<PendingCommand>>* batch,
-                       std::vector<std::pair<int, std::uint64_t>>* resumes,
-                       std::vector<std::vector<ResponseMsg>>* perLoop);
   void rebalanceLoop();
 
   // --- Loop-thread helpers (each touches only `loop`-owned state). ---
@@ -278,10 +260,9 @@ class NegotiationServer {
   void handleReadable(Loop* loop, Connection* conn);
   void processDecodedFrames(Loop* loop, Connection* conn);
   void handleFrame(Loop* loop, Connection* conn, const std::string& payload);
-  /// Queues `payload` (already-encoded response JSON) for delivery.  For v1
-  /// connections `deliverSeq` enforces submit-order delivery; v2 responses
-  /// pass kUnordered and go out immediately.
-  void deliverResponse(Loop* loop, Connection* conn, std::uint64_t deliverSeq,
+  /// Appends `payload` (already-encoded response JSON) to the connection's
+  /// output buffer; the caller flushes.
+  void deliverResponse(Loop* loop, Connection* conn,
                        const std::string& payload);
   void flushOut(Loop* loop, Connection* conn);
   void updateInterest(Loop* loop, Connection* conn);
@@ -291,8 +272,8 @@ class NegotiationServer {
   /// Routes and enqueues a decoded command, stamping its arrival sequence
   /// (and, for NEGOTIATE, reserving its job id — the id fixes the home
   /// shard, so routing is deterministic in arrival order).  Never blocks:
-  /// a full queue either throttles the connection (v1) or refuses with
-  /// Busy (v2, `allowBusy`).  On Busy/Closed nothing was committed — no
+  /// a full queue refuses with Busy when `allowBusy` (v2) and admits past
+  /// capacity otherwise (v1).  On Busy/Closed nothing was committed — no
   /// sequence number, no job id, no trace record.
   EnqueueStatus enqueue(const std::shared_ptr<PendingCommand>& command,
                         bool allowBusy);
@@ -344,8 +325,8 @@ class NegotiationServer {
   /// monotonic timestamp of the previous record for the delta encoding.
   WireTraceWriter traceWriter_;         // guarded by seqMutex_ after start()
   std::int64_t lastRecordNs_ = 0;       // guarded by seqMutex_
-  /// Set (under seqMutex_) by stop(); read by waiters on any queue.
-  std::atomic<bool> queueClosed_{false};
+  /// Set by stop() once the loops stop reading; later enqueues get Closed.
+  bool queueClosed_ = false;  // guarded by seqMutex_
 
   /// One command queue + worker thread per shard.
   std::vector<std::unique_ptr<ShardQueue>> queues_;
@@ -387,7 +368,6 @@ class NegotiationServer {
   std::atomic<std::uint64_t> disconnectsMidRequest_{0};
   std::atomic<std::uint64_t> busyRejections_{0};
   std::atomic<std::uint64_t> helloHandshakes_{0};
-  std::atomic<std::uint64_t> batchesStolen_{0};
   std::atomic<std::uint64_t> reshapeEventsDispatched_{0};
   std::atomic<std::uint64_t> reshapeEventsDropped_{0};
 };

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -128,6 +129,67 @@ TEST(ElasticService, V1ClientPollsBufferedReshapeEvents) {
   server.stop();
 }
 
+// A v1 client that pipelines a RESHAPES poll behind a demoting NEGOTIATE
+// gets the poll answered after that NEGOTIATE, so the poll returns the
+// demotion it caused: the server decodes a v1 connection's next frame only
+// once the previous command's answer — and the moves that came with it —
+// have been applied.
+TEST(ElasticService, V1PollPipelinedBehindDemotingNegotiateSeesItsMove) {
+  elastic::Reshaper reshaper;
+  NegotiationServer server(elasticConfig(8, &reshaper));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  auto connected =
+      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
+  ASSERT_TRUE(connected.ok()) << connected.error;
+  const net::FrameLimits limits;
+  std::string wire;
+  Request first;
+  first.command = Command::Negotiate;
+  first.id = 1;
+  first.payload = NegotiateRequest{twoRungSpec(), 0};
+  Request demoting;
+  demoting.command = Command::Negotiate;
+  demoting.id = 2;
+  demoting.payload = NegotiateRequest{tightSpec(), 0};
+  Request poll;
+  poll.command = Command::Reshapes;
+  poll.id = 3;
+  for (const Request* request : {&first, &demoting, &poll}) {
+    ASSERT_TRUE(net::appendFrame(wire, encodeRequest(*request), limits).ok());
+  }
+  ASSERT_TRUE(connected.socket
+                  .writeAll(wire.data(), wire.size(), net::Deadline::after(1s))
+                  .ok());
+
+  std::vector<Response> answers;
+  for (int i = 0; i < 3; ++i) {
+    auto frame =
+        net::readFrame(connected.socket, limits, net::Deadline::after(5s),
+                       net::Deadline::after(5s));
+    ASSERT_TRUE(frame.ok()) << net::toString(frame.status);
+    auto decoded = decodeResponse(frame.payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.error;
+    ASSERT_TRUE(decoded.response->ok);
+    EXPECT_EQ(decoded.response->id, static_cast<std::uint64_t>(i + 1));
+    answers.push_back(*decoded.response);
+  }
+  const auto* admitted = std::get_if<NegotiateResult>(&answers[0].result);
+  ASSERT_NE(admitted, nullptr);
+  ASSERT_TRUE(admitted->admitted);
+  const auto* newcomer = std::get_if<NegotiateResult>(&answers[1].result);
+  ASSERT_NE(newcomer, nullptr);
+  ASSERT_TRUE(newcomer->admitted);
+  const auto* polled = std::get_if<ReshapesResult>(&answers[2].result);
+  ASSERT_NE(polled, nullptr);
+  ASSERT_EQ(polled->events.size(), 1u);
+  EXPECT_EQ(polled->events[0].jobId, admitted->jobId);
+  EXPECT_FALSE(polled->events[0].promotion);
+  EXPECT_EQ(polled->events[0].toQuality, 0.5);
+  server.stop();
+}
+
 // v2 path: the same trade arrives as an unsolicited RESHAPED push on the
 // connection that negotiated the demoted job — no polling.
 TEST(ElasticService, V2ClientReceivesReshapedPushes) {
@@ -224,15 +286,30 @@ TEST(AdaptiveWindow, MapsQueuePressureToWindow) {
 // Tiny queue + deliberately expensive negotiations on one raw v2
 // connection: every frame is answered exactly once (no deadlock, no lost
 // responses), the connection survives, and at least one response
-// re-advertises a window below the HELLO grant.
+// re-advertises a window below the HELLO grant.  The worker is wedged on
+// the burst's first command, so the two-slot queue is provably full while
+// the rest of the burst lands.
 TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
   ServerConfig config;
   config.processors = 8;
   config.unixPath = freshSocketPath();
   config.commandQueueCapacity = 2;
+  std::atomic<bool> seamEntered{false};
+  std::atomic<bool> seamRelease{false};
+  std::atomic<int> seamCalls{0};
+  config.workerSeamForTest = [&] {
+    if (seamCalls.fetch_add(1) != 0) return;  // wedge the first batch only
+    seamEntered.store(true);
+    while (!seamRelease.load()) std::this_thread::sleep_for(1ms);
+  };
   NegotiationServer server(config);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
+  // Un-wedge before the server stops, even when an assertion bails out.
+  struct SeamRelease {
+    std::atomic<bool>& flag;
+    ~SeamRelease() { flag.store(true); }
+  } unwedge{seamRelease};
 
   auto connected =
       net::connectUnix(server.unixPath(), net::Deadline::after(1s));
@@ -259,11 +336,11 @@ TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
   const std::uint32_t granted = grant->window;
   ASSERT_GE(granted, 2u);
 
-  // Heavy NEGOTIATEs (dozens of chains each) keep the two-slot queue full
-  // while the burst drains, so busy responses and window re-advertisements
-  // both fire.
+  // Heavy NEGOTIATEs (dozens of chains each).  The first goes alone and
+  // wedges the worker; the rest land against a queue that nobody drains, so
+  // it fills and busy responses with shrunken windows must fire.
   constexpr int kBurst = 60;
-  std::string wire;
+  std::vector<std::string> frames;
   for (int i = 0; i < kBurst; ++i) {
     task::TunableJobSpec heavy = twoRungSpec();
     for (int extra = 0; extra < 24; ++extra) {
@@ -274,16 +351,32 @@ TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
     negotiate.command = Command::Negotiate;
     negotiate.id = 100 + static_cast<std::uint64_t>(i);
     negotiate.payload = NegotiateRequest{std::move(heavy), 0};
-    ASSERT_TRUE(net::appendFrame(wire, encodeRequest(negotiate), limits).ok());
+    frames.emplace_back();
+    ASSERT_TRUE(
+        net::appendFrame(frames.back(), encodeRequest(negotiate), limits)
+            .ok());
   }
   ASSERT_TRUE(connected.socket
-                  .writeAll(wire.data(), wire.size(), net::Deadline::after(5s))
+                  .writeAll(frames[0].data(), frames[0].size(),
+                            net::Deadline::after(5s))
+                  .ok());
+  for (int i = 0; i < 500 && !seamEntered.load(); ++i) {
+    std::this_thread::sleep_for(2ms);
+  }
+  ASSERT_TRUE(seamEntered.load());
+  std::string rest;
+  for (std::size_t i = 1; i < frames.size(); ++i) rest += frames[i];
+  ASSERT_TRUE(connected.socket
+                  .writeAll(rest.data(), rest.size(), net::Deadline::after(5s))
                   .ok());
 
   int ok = 0;
   int busy = 0;
   std::uint32_t minAdvertised = granted;
   for (int i = 0; i < kBurst; ++i) {
+    // Every answer before the release is a busy refusal: the first one
+    // proves the burst met a full queue.
+    if (i == 1) seamRelease.store(true);
     auto frame =
         net::readFrame(connected.socket, limits, net::Deadline::after(10s),
                        net::Deadline::after(10s));

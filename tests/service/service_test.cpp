@@ -848,8 +848,10 @@ TEST(Service, OversizedFrameRejectedPerConnection) {
   EXPECT_EQ(server.counters().framesOversized, 1u);
 }
 
-// A queue of capacity 1 forces backpressure under 8-way load; every request
-// still completes and the replayed ledger stays consistent.
+// A queue of capacity 1 under 8-way v1 load: v1 pushes are never refused,
+// and each connection holds at most one command in flight, so the queue
+// overshoots its capacity by at most one command per connection instead of
+// stalling anyone.  Every request completes and the ledger stays consistent.
 TEST(Service, BackpressureWithTinyQueueStillCompletesEverything) {
   auto config = unixConfig(8);
   config.commandQueueCapacity = 1;
@@ -930,12 +932,12 @@ TEST(Service, QueueDepthGaugeSeesEveryPeakUnderBatching) {
   server.stop();
 }
 
-// Regression (shutdown lost wakeup): stop the server while the tiny queue
-// is full, the worker is wedged mid-batch, and a v1 client with unread
-// pipelined frames is paused by backpressure.  close() must wake the
-// worker, everything admitted before the close must still execute and
-// answer (the closeAndDrain contract), and the connection must end in a
-// clean EOF — the old single-CV notify left this configuration hung.
+// Regression (shutdown lost wakeup): stop the server while its tiny-queue
+// worker is wedged mid-batch and a v1 client has unread pipelined frames
+// waiting behind its one in-flight command.  The queue close must let the
+// worker finish, everything admitted before the close must still execute
+// and answer (the close contract), and the connection must end in a clean
+// EOF.
 TEST(Service, StopWhileClientWedgedAgainstFullTinyQueueDrainsAdmitted) {
   auto config = unixConfig(8);
   config.commandQueueCapacity = 1;
@@ -945,8 +947,8 @@ TEST(Service, StopWhileClientWedgedAgainstFullTinyQueueDrainsAdmitted) {
   // Wedge the worker on its SECOND drained batch: command 1 executes and
   // answers normally, command 2 is drained and then held hostage — so by
   // the time the seam is entered, two commands are provably admitted and
-  // one of them can only be answered if the shutdown path wakes the
-  // pipeline and drains what was admitted.
+  // one of them can only be answered if the shutdown path still drains
+  // what was admitted.
   config.workerSeamForTest = [&] {
     if (seamCalls.fetch_add(1) != 1) return;
     seamEntered.store(true);
@@ -974,27 +976,24 @@ TEST(Service, StopWhileClientWedgedAgainstFullTinyQueueDrainsAdmitted) {
                   .writeAll(wire.data(), wire.size(), net::Deadline::after(1s))
                   .ok());
 
-  // Command 1 answers; command 2 is drained and wedged in the worker's
-  // hands; command 3 then refills the queue of one and re-pauses the
-  // connection's reads, leaving frame 4 unread.
+  // Command 1 answers, which lets the loop admit command 2; command 2 is
+  // drained and wedged in the worker's hands.  Frames 3 and 4 wait behind
+  // it: a v1 connection has one command in flight.
   for (int i = 0; i < 500 && !seamEntered.load(); ++i) {
     std::this_thread::sleep_for(2ms);
   }
   ASSERT_TRUE(seamEntered.load());
-  // Give the (resumed) loop a beat to admit command 3 against the full
-  // queue — not asserted, the prefix check below absorbs either outcome.
-  std::this_thread::sleep_for(30ms);
 
   std::thread stopper([&] { server.stop(); });
-  // Give stop() time to reach the queue close, then un-wedge the worker;
-  // the close must be what wakes the pipeline the rest of the way.
+  // Give stop() time to reach the queue close, then un-wedge the worker:
+  // it must answer what was admitted and exit on the close, not park.
   std::this_thread::sleep_for(50ms);
   seamRelease.store(true);
   stopper.join();
 
   // Every admitted command answered, in order, then EOF.  Commands 1 and 2
-  // were admitted before the stop; 3 and 4 may or may not have slipped in
-  // depending on when the loops stopped reading, but whatever was admitted
+  // were admitted before the stop; 3 and 4 are admitted only if command 2
+  // was answered before the loop began draining, but whatever was admitted
   // must be answered and nothing may be answered out of order.
   std::vector<std::uint64_t> answered;
   for (;;) {
@@ -1013,71 +1012,105 @@ TEST(Service, StopWhileClientWedgedAgainstFullTinyQueueDrainsAdmitted) {
   }
 }
 
-// Decision-identity smoke across the pluggable handoff queues: the same
-// concurrent burst against --queue=mutex, mpsc, and steal servers must
-// stamp a dense arrival sequence and replay exactly into an in-process
-// arbitrator, whichever implementation carried the handoff.
-TEST(Service, QueueKindsPreserveReplayEquivalence) {
-  for (const auto kind : {qos::QueueKind::Mutex, qos::QueueKind::Mpsc,
-                          qos::QueueKind::Steal}) {
-    SCOPED_TRACE(qos::toString(kind));
-    constexpr int kClients = 4;
-    constexpr int kRequestsPerClient = 15;
-    const int processors = 8;
-    auto config = unixConfig(processors);
-    config.queueKind = kind;
-    config.shards = kind == qos::QueueKind::Steal ? 2 : 1;
-    NegotiationServer server(config);
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
+/// Un-wedges a seam-held worker when the test scope ends, so a failed
+/// assertion cannot leave stop() joining a worker that never returns.
+/// Declare after the server: it must release before the server stops.
+struct SeamRelease {
+  std::atomic<bool>& flag;
+  ~SeamRelease() { flag.store(true); }
+};
 
-    struct Observed {
-      task::TunableJobSpec spec;
-      NegotiateResult result;
-    };
-    std::vector<std::vector<Observed>> perClient(kClients);
-    std::vector<std::thread> threads;
-    for (int c = 0; c < kClients; ++c) {
-      threads.emplace_back([&, c] {
-        QoSAgentClient client(clientFor(server));
-        for (int r = 0; r < kRequestsPerClient; ++r) {
-          const auto spec = makeSpec(c * kRequestsPerClient + r);
-          const auto decision = client.negotiate(spec, 0);
-          ASSERT_TRUE(decision.ok()) << decision.error.message;
-          perClient[static_cast<std::size_t>(c)].push_back({spec, *decision});
-        }
-      });
-    }
-    for (auto& thread : threads) thread.join();
+// The v1 in-flight rule at 4 shards: a raw v1 client writes a burst of
+// NEGOTIATEs in one write while one shard's worker is wedged.  The server
+// decodes a v1 connection's next frame only after answering the previous
+// one, so no shard queue ever holds more than one of the burst's commands
+// — even the wedged shard, which every 4th job id routes to — and the
+// answers arrive in submit order with strictly increasing arrivalSeq.
+TEST(Service, V1ConnectionHoldsOneCommandInFlightAcrossShards) {
+  constexpr int kShards = 4;
+  constexpr std::uint64_t kBurst = 12;
+  auto config = unixConfig(16);
+  config.shards = kShards;
+  std::atomic<bool> seamEntered{false};
+  std::atomic<bool> seamRelease{false};
+  std::atomic<int> seamCalls{0};
+  config.workerSeamForTest = [&] {
+    if (seamCalls.fetch_add(1) != 0) return;  // wedge the first batch only
+    seamEntered.store(true);
+    while (!seamRelease.load()) std::this_thread::sleep_for(1ms);
+  };
+  NegotiationServer server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  SeamRelease unwedge{seamRelease};
+  auto* registry = server.metricsRegistry();
+  ASSERT_NE(registry, nullptr);
 
-    std::vector<const Observed*> byArrival;
-    for (const auto& observations : perClient) {
-      for (const auto& observed : observations) byArrival.push_back(&observed);
-    }
-    std::sort(byArrival.begin(), byArrival.end(),
-              [](const Observed* a, const Observed* b) {
-                return a->result.arrivalSeq < b->result.arrivalSeq;
-              });
-    for (std::size_t i = 0; i < byArrival.size(); ++i) {
-      ASSERT_EQ(byArrival[i]->result.arrivalSeq, i);
-    }
-    if (config.shards == 1) {
-      qos::QoSArbitrator replay(processors);
-      for (const auto* observed : byArrival) {
-        const auto decision =
-            replay.submit(observed->spec, observed->result.release);
-        ASSERT_EQ(replay.lastJobId().value(), observed->result.jobId);
-        ASSERT_EQ(decision.admitted, observed->result.admitted)
-            << "arrivalSeq " << observed->result.arrivalSeq;
-      }
-      EXPECT_TRUE(replay.verify().ok);
-    }
-    QoSAgentClient checker(clientFor(server));
-    const auto verify = checker.verify();
-    ASSERT_TRUE(verify.ok());
-    EXPECT_TRUE(verify->ok) << verify->firstViolation;
-    server.stop();
+  // Another connection's NEGOTIATE wedges its home shard's worker.
+  PipelinedClient wedger(clientFor(server), /*window=*/1);
+  auto connectError = wedger.connect();
+  ASSERT_FALSE(connectError.has_value()) << connectError->message;
+  auto wedged = wedger.negotiateAsync(makeSpec(0), 0);
+  for (int i = 0; i < 500 && !seamEntered.load(); ++i) {
+    std::this_thread::sleep_for(2ms);
   }
+  ASSERT_TRUE(seamEntered.load());
+
+  auto connected =
+      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
+  ASSERT_TRUE(connected.ok()) << connected.error;
+  const net::FrameLimits limits;
+  std::string wire;
+  for (std::uint64_t id = 1; id <= kBurst; ++id) {
+    Request request;
+    request.command = Command::Negotiate;
+    request.id = id;
+    request.payload = NegotiateRequest{makeSpec(static_cast<int>(id)), 0};
+    ASSERT_TRUE(net::appendFrame(wire, encodeRequest(request), limits).ok());
+  }
+  ASSERT_TRUE(connected.socket
+                  .writeAll(wire.data(), wire.size(), net::Deadline::after(1s))
+                  .ok());
+
+  std::vector<NegotiateResult> answers;
+  const auto readAnswer = [&] {
+    auto frame = net::readFrame(connected.socket, limits,
+                                net::Deadline::after(5s),
+                                net::Deadline::after(5s));
+    ASSERT_TRUE(frame.ok()) << net::toString(frame.status);
+    auto decoded = decodeResponse(frame.payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.error;
+    ASSERT_TRUE(decoded.response->ok);
+    EXPECT_EQ(decoded.response->id, answers.size() + 1);
+    const auto* result =
+        std::get_if<NegotiateResult>(&decoded.response->result);
+    ASSERT_NE(result, nullptr);
+    answers.push_back(*result);
+  };
+  // The first three jobs route to the three running shards and are
+  // answered while the worker stays wedged; the fourth routes to the
+  // wedged shard and waits there.  Give the loop a beat to (wrongly) take
+  // more of the burst before releasing.
+  for (int i = 0; i < kShards - 1; ++i) {
+    readAnswer();
+    if (HasFatalFailure()) return;
+  }
+  std::this_thread::sleep_for(50ms);
+  seamRelease.store(true);
+  while (answers.size() < kBurst) {
+    readAnswer();
+    if (HasFatalFailure()) return;
+  }
+  ASSERT_TRUE(wedged.get().ok());
+
+  for (std::size_t i = 1; i < answers.size(); ++i) {
+    EXPECT_LT(answers[i - 1].arrivalSeq, answers[i].arrivalSeq);
+  }
+  for (int k = 0; k < kShards; ++k) {
+    const std::string name = "server.queue_depth.shard" + std::to_string(k);
+    EXPECT_LE(registry->gauge(name).max(), 1) << name;
+  }
+  server.stop();
 }
 
 // stop() waits for in-flight work, then refuses new connections; idle open
