@@ -1,16 +1,21 @@
 // Engineering microbenchmarks (google-benchmark): the hot paths of the
-// arbitrator and the Calypso runtime.  Not part of the paper's evaluation;
-// used to keep the 10,000-job figure sweeps fast and to quantify runtime
-// overheads.
+// arbitrator, the negotiation codec and the Calypso runtime.  Not part of
+// the paper's evaluation; used to keep the 10,000-job figure sweeps fast and
+// to quantify runtime overheads.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "calypso/runtime.h"
 #include "common/rng.h"
 #include "resource/availability_profile.h"
 #include "resource/reference_profile.h"
 #include "sched/greedy_arbitrator.h"
+#include "service/protocol.h"
 #include "sim/engine.h"
+#include "taskmodel/chain.h"
 #include "workload/fig4.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -191,6 +196,46 @@ void BM_AdmitTunableJob(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdmitTunableJob);
+
+/// A three-chain job of the multi-tenant scenario family: the shape every
+/// tenant-mix NEGOTIATE carries.
+task::TunableJobSpec multiTenantSpec() {
+  auto params = workload::scenarioByName("multi-tenant", 1, 64);
+  auto scenario = workload::ScenarioGenerator(*params).generate();
+  const auto it = std::find_if(
+      scenario.jobs.begin(), scenario.jobs.end(),
+      [](const workload::ScenarioJob& job) {
+        return job.spec.chains.size() == 3;
+      });
+  return it != scenario.jobs.end() ? it->spec : scenario.jobs.front().spec;
+}
+
+// Structural validation of a valid spec: what ScenarioGenerator runs per
+// generated job and the server runs per decoded NEGOTIATE.
+void BM_ValidateTunableSpec(benchmark::State& state) {
+  const auto spec = multiTenantSpec();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(task::validate(spec));
+  }
+}
+BENCHMARK(BM_ValidateTunableSpec);
+
+// One NEGOTIATE frame payload through the service codec (JSON parse, spec
+// decode, validation).
+void BM_DecodeNegotiateRequest(benchmark::State& state) {
+  service::Request request;
+  request.id = 1;
+  request.command = service::Command::Negotiate;
+  request.payload = service::NegotiateRequest{multiTenantSpec(), 0};
+  const std::string text = service::encodeRequest(request);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::decodeRequest(text));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+  state.counters["request_bytes"] = static_cast<double>(text.size());
+}
+BENCHMARK(BM_DecodeNegotiateRequest);
 
 void BM_SimulationThroughput(benchmark::State& state) {
   const auto jobs = workload::makeFig4PoissonStream(

@@ -18,6 +18,10 @@
 // so nothing admitted is ever lost.  Callers that push concurrently with
 // close() must serialise the two externally (the server does: close happens
 // under the same lock that guards every push).
+//
+// The queue is unbounded: a push never refuses an open queue.  Backpressure
+// is the producer's call — the server refuses v2 commands against its own
+// capacity before it draws a sequence number (NegotiationServer::enqueue).
 #pragma once
 
 #include <atomic>
@@ -32,16 +36,16 @@ namespace tprm::qos {
 
 /// Outcome of a push.
 enum class QueuePush {
-  Ok,       // admitted
-  Refused,  // refuseAtCapacity and the queue is full; nothing committed
-  Closed,   // queue closed; nothing committed
+  Ok,      // admitted
+  Closed,  // queue closed; nothing committed
 };
 
 struct QueuePushResult {
   QueuePush status = QueuePush::Ok;
   /// Depth immediately after this push committed (or the depth observed at
-  /// refusal).  Sampled before push() returns so gauges see every peak —
-  /// a consumer draining whole batches between samples cannot hide one.
+  /// a closed queue).  Sampled before push() returns so gauges see every
+  /// peak — a consumer draining whole batches between samples cannot hide
+  /// one.
   std::size_t depth = 0;
 };
 
@@ -50,22 +54,17 @@ struct QueuePushResult {
 template <typename T>
 class CommandQueue {
  public:
-  explicit CommandQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+  CommandQueue() = default;
 
   CommandQueue(const CommandQueue&) = delete;
   CommandQueue& operator=(const CommandQueue&) = delete;
 
-  /// Non-blocking push.  With refuseAtCapacity a full queue refuses instead
-  /// of admitting; without it the capacity is a soft bound.
-  QueuePushResult push(T item, bool refuseAtCapacity) {
+  /// Non-blocking push.
+  QueuePushResult push(T item) {
     std::size_t depth = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_) return {QueuePush::Closed, items_.size()};
-      if (refuseAtCapacity && items_.size() >= capacity_) {
-        return {QueuePush::Refused, items_.size()};
-      }
       items_.push_back(std::move(item));
       depth = items_.size();
       depthMirror_.store(depth, std::memory_order_relaxed);
@@ -106,7 +105,6 @@ class CommandQueue {
   }
 
  private:
-  const std::size_t capacity_;
   std::mutex mu_;
   std::condition_variable notEmpty_;
   std::deque<T> items_;  // guarded by mu_

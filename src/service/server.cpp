@@ -136,7 +136,6 @@ struct NegotiationServer::Loop {
 /// producers get `busy`, and v1 producers, one command per connection at
 /// most, are admitted past it.
 struct NegotiationServer::ShardQueue {
-  explicit ShardQueue(std::size_t capacity) : commands(capacity) {}
   qos::CommandQueue<std::shared_ptr<PendingCommand>> commands;
   /// "server.queue_depth" (shards == 1) / "server.queue_depth.shard<k>".
   /// Sampled at enqueue from the depth the push itself observed, so the
@@ -159,8 +158,7 @@ NegotiationServer::NegotiationServer(ServerConfig config)
   }
   queues_.reserve(static_cast<std::size_t>(config_.shards));
   for (int k = 0; k < config_.shards; ++k) {
-    queues_.push_back(
-        std::make_unique<ShardQueue>(config_.commandQueueCapacity));
+    queues_.push_back(std::make_unique<ShardQueue>());
   }
   if (config_.observability) {
     registry_ = std::make_unique<obs::MetricsRegistry>();
@@ -922,8 +920,7 @@ NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
   // Past the v2 check above nothing refuses: a v1 connection has no other
   // command in flight, so a queue overshoots its capacity by at most one
   // command per v1 connection.
-  const auto pushed =
-      queue.commands.push(command, /*refuseAtCapacity=*/false);
+  const auto pushed = queue.commands.push(command);
   if (pushed.status == qos::QueuePush::Closed) {
     // Unreachable in practice — close happens under seqMutex_, checked at
     // entry — but the contract allows it, so don't mislead the caller.

@@ -1,7 +1,7 @@
 #include "taskmodel/chain.h"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 
 #include "common/check.h"
 
@@ -73,33 +73,37 @@ std::vector<std::string> validate(const TunableJobSpec& spec) {
   }
   for (std::size_t c = 0; c < spec.chains.size(); ++c) {
     const Chain& chain = spec.chains[c];
-    std::ostringstream where;
-    where << "job '" << spec.name << "' chain " << c << " ('" << chain.name
-          << "')";
+    // Locations are formatted only when a check fails: every NEGOTIATE and
+    // every generated job validates, and nearly all of them are valid.
+    const auto where = [&] {
+      return "job '" + spec.name + "' chain " + std::to_string(c) + " ('" +
+             chain.name + "')";
+    };
     if (chain.tasks.empty()) {
-      fail(where.str() + " is empty");
+      fail(where() + " is empty");
       continue;
     }
     Time previousDeadline = 0;
     Time earliestFinish = 0;
     for (std::size_t k = 0; k < chain.tasks.size(); ++k) {
       const TaskSpec& t = chain.tasks[k];
-      std::ostringstream at;
-      at << where.str() << " task " << k << " ('" << t.name << "')";
-      if (t.request.processors <= 0) fail(at.str() + ": processors <= 0");
-      if (t.request.duration <= 0) fail(at.str() + ": duration <= 0");
+      const auto at = [&] {
+        return where() + " task " + std::to_string(k) + " ('" + t.name + "')";
+      };
+      if (t.request.processors <= 0) fail(at() + ": processors <= 0");
+      if (t.request.duration <= 0) fail(at() + ": duration <= 0");
       if (t.quality < 0.0 || t.quality > 1.0) {
-        fail(at.str() + ": quality outside [0, 1]");
+        fail(at() + ": quality outside [0, 1]");
       }
       if (t.malleable) {
-        if (t.malleable->work <= 0) fail(at.str() + ": malleable work <= 0");
+        if (t.malleable->work <= 0) fail(at() + ": malleable work <= 0");
         if (t.malleable->maxConcurrency < t.request.processors) {
-          fail(at.str() +
+          fail(at() +
                ": degree of concurrency below the rigid shape's processors");
         }
       }
       if (t.relativeDeadline < previousDeadline) {
-        fail(at.str() +
+        fail(at() +
              ": relative deadline decreases along the chain (a deadline "
              "covers all predecessors, so it must be non-decreasing)");
       }
@@ -107,7 +111,7 @@ std::vector<std::string> validate(const TunableJobSpec& spec) {
       earliestFinish += t.request.duration;
       if (t.relativeDeadline < kTimeInfinity &&
           earliestFinish > t.relativeDeadline) {
-        fail(at.str() + ": infeasible even on an idle machine (critical path " +
+        fail(at() + ": infeasible even on an idle machine (critical path " +
              formatTime(earliestFinish) + " exceeds deadline " +
              formatTime(t.relativeDeadline) + ")");
       }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <queue>
-#include <sstream>
+#include <string>
 
 #include "common/check.h"
 
@@ -70,30 +70,34 @@ std::vector<std::string> validateDag(const TunableDagJobSpec& spec) {
   }
   for (std::size_t a = 0; a < spec.alternatives.size(); ++a) {
     const DagSpec& dag = spec.alternatives[a];
-    std::ostringstream where;
-    where << "dag job '" << spec.name << "' alternative " << a << " ('"
-          << dag.name << "')";
+    // Locations are formatted only when a check fails.
+    const auto where = [&] {
+      return "dag job '" + spec.name + "' alternative " + std::to_string(a) +
+             " ('" + dag.name + "')";
+    };
+    const auto at = [&](std::size_t i) {
+      return where() + " task " + std::to_string(i) + " ('" +
+             dag.tasks[i].spec.name + "')";
+    };
     if (dag.tasks.empty()) {
-      fail(where.str() + " is empty");
+      fail(where() + " is empty");
       continue;
     }
     const std::size_t n = dag.tasks.size();
     bool structureOk = true;
     for (std::size_t i = 0; i < n; ++i) {
       const DagTask& t = dag.tasks[i];
-      std::ostringstream at;
-      at << where.str() << " task " << i << " ('" << t.spec.name << "')";
-      if (t.spec.request.processors <= 0) fail(at.str() + ": processors <= 0");
-      if (t.spec.request.duration <= 0) fail(at.str() + ": duration <= 0");
+      if (t.spec.request.processors <= 0) fail(at(i) + ": processors <= 0");
+      if (t.spec.request.duration <= 0) fail(at(i) + ": duration <= 0");
       if (t.spec.quality < 0.0 || t.spec.quality > 1.0) {
-        fail(at.str() + ": quality outside [0, 1]");
+        fail(at(i) + ": quality outside [0, 1]");
       }
       for (const std::size_t p : t.predecessors) {
         if (p >= n) {
-          fail(at.str() + ": predecessor index out of range");
+          fail(at(i) + ": predecessor index out of range");
           structureOk = false;
         } else if (p == i) {
-          fail(at.str() + ": task depends on itself");
+          fail(at(i) + ": task depends on itself");
           structureOk = false;
         }
       }
@@ -124,7 +128,7 @@ std::vector<std::string> validateDag(const TunableDagJobSpec& spec) {
         }
       }
       if (seen != n) {
-        fail(where.str() + " contains a cycle");
+        fail(where() + " contains a cycle");
         continue;
       }
     }
@@ -141,12 +145,9 @@ std::vector<std::string> validateDag(const TunableDagJobSpec& spec) {
       earliestFinish[v] = start + dag.tasks[v].spec.request.duration;
       const Time deadline = dag.tasks[v].spec.relativeDeadline;
       if (deadline < kTimeInfinity && earliestFinish[v] > deadline) {
-        std::ostringstream at;
-        at << where.str() << " task " << v << " ('" << dag.tasks[v].spec.name
-           << "'): infeasible even on an idle machine (earliest finish "
-           << formatTime(earliestFinish[v]) << " exceeds deadline "
-           << formatTime(deadline) << ")";
-        fail(at.str());
+        fail(at(v) + ": infeasible even on an idle machine (earliest finish " +
+             formatTime(earliestFinish[v]) + " exceeds deadline " +
+             formatTime(deadline) + ")");
       }
     }
   }

@@ -1,7 +1,7 @@
 #include "taskmodel/spec_io.h"
 
 #include <cmath>
-#include <sstream>
+#include <string>
 
 namespace tprm::task {
 
@@ -107,31 +107,32 @@ class SpecReader {
     return result;
   }
 
+  // The location prefixes are formatted only when a check fails.
   std::optional<Chain> readChain(const JsonValue& value, std::size_t index) {
-    std::ostringstream where;
-    where << "chains[" << index << "]";
+    const auto where = [index] {
+      return "chains[" + std::to_string(index) + "]";
+    };
     if (!value.isObject()) {
-      error_ = where.str() + " must be an object";
+      error_ = where() + " must be an object";
       return std::nullopt;
     }
     Chain chain;
     if (const auto* name = value.find("name")) {
       if (!name->isString()) {
-        error_ = where.str() + ".name must be a string";
+        error_ = where() + ".name must be a string";
         return std::nullopt;
       }
       chain.name = name->asString();
     }
     if (const auto* bindings = value.find("bindings")) {
       if (!bindings->isObject()) {
-        error_ = where.str() + ".bindings must be an object";
+        error_ = where() + ".bindings must be an object";
         return std::nullopt;
       }
       for (const auto& [param, bound] : bindings->asObject()) {
         if (!bound.isNumber() ||
             bound.asNumber() != std::floor(bound.asNumber())) {
-          error_ = where.str() + ".bindings." + param +
-                   " must be an integer";
+          error_ = where() + ".bindings." + param + " must be an integer";
           return std::nullopt;
         }
         chain.bindings[param] = static_cast<std::int64_t>(bound.asNumber());
@@ -139,11 +140,11 @@ class SpecReader {
     }
     const auto* tasks = value.find("tasks");
     if (tasks == nullptr || !tasks->isArray()) {
-      error_ = where.str() + ".tasks must be an array";
+      error_ = where() + ".tasks must be an array";
       return std::nullopt;
     }
     for (std::size_t k = 0; k < tasks->asArray().size(); ++k) {
-      auto task = readTask(tasks->asArray()[k], where.str(), k);
+      auto task = readTask(tasks->asArray()[k], index, k);
       if (!task) return std::nullopt;
       chain.tasks.push_back(std::move(*task));
     }
@@ -151,55 +152,56 @@ class SpecReader {
   }
 
   std::optional<TaskSpec> readTask(const JsonValue& value,
-                                   const std::string& chainWhere,
-                                   std::size_t index) {
-    std::ostringstream where;
-    where << chainWhere << ".tasks[" << index << "]";
+                                   std::size_t chainIndex, std::size_t index) {
+    const auto where = [chainIndex, index] {
+      return "chains[" + std::to_string(chainIndex) + "].tasks[" +
+             std::to_string(index) + "]";
+    };
     if (!value.isObject()) {
-      error_ = where.str() + " must be an object";
+      error_ = where() + " must be an object";
       return std::nullopt;
     }
     TaskSpec task;
     if (const auto* name = value.find("name")) {
       if (!name->isString()) {
-        error_ = where.str() + ".name must be a string";
+        error_ = where() + ".name must be a string";
         return std::nullopt;
       }
       task.name = name->asString();
     }
     const auto* processors = value.find("processors");
     if (processors == nullptr || !processors->isNumber()) {
-      error_ = where.str() + ".processors must be a number";
+      error_ = where() + ".processors must be a number";
       return std::nullopt;
     }
     task.request.processors = static_cast<int>(processors->asNumber());
     const auto* duration = value.find("duration");
     if (duration == nullptr || !duration->isNumber()) {
-      error_ = where.str() + ".duration must be a number";
+      error_ = where() + ".duration must be a number";
       return std::nullopt;
     }
     if (duration->asNumber() <= 0.0) {
-      error_ = where.str() + ".duration must be positive";
+      error_ = where() + ".duration must be positive";
       return std::nullopt;
     }
     task.request.duration = ticksFromUnits(duration->asNumber());
     if (const auto* deadline = value.find("deadline")) {
       if (!deadline->isNumber()) {
-        error_ = where.str() + ".deadline must be a number";
+        error_ = where() + ".deadline must be a number";
         return std::nullopt;
       }
       task.relativeDeadline = ticksFromUnits(deadline->asNumber());
     }
     if (const auto* quality = value.find("quality")) {
       if (!quality->isNumber()) {
-        error_ = where.str() + ".quality must be a number";
+        error_ = where() + ".quality must be a number";
         return std::nullopt;
       }
       task.quality = quality->asNumber();
     }
     if (const auto* maxConc = value.find("maxConcurrency")) {
       if (!maxConc->isNumber()) {
-        error_ = where.str() + ".maxConcurrency must be a number";
+        error_ = where() + ".maxConcurrency must be a number";
         return std::nullopt;
       }
       task.malleable = MalleableSpec{task.request.area(),

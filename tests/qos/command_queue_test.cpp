@@ -1,8 +1,8 @@
-// Tests for the server→shard handoff queue: FIFO drain order, capacity
-// refusal, push-observed depth, the close contract (refuse new pushes, drain
-// what was admitted, wake the parked consumer), and a multi-producer stress
-// run (FIFO-per-producer and no-loss under contention — the sanitizer CI
-// legs run this binary).
+// Tests for the server→shard handoff queue: FIFO drain order, push-observed
+// depth, the close contract (refuse new pushes, drain what was admitted,
+// wake the parked consumer), and a multi-producer stress run
+// (FIFO-per-producer and no-loss under contention — the sanitizer CI legs
+// run this binary).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,9 +26,9 @@ std::vector<Item> drainAll(CommandQueue<Item>& queue) {
 }
 
 TEST(CommandQueue, DrainsInPushOrder) {
-  CommandQueue<Item> queue(64);
+  CommandQueue<Item> queue;
   for (Item i = 0; i < 10; ++i) {
-    EXPECT_EQ(queue.push(i, false).status, QueuePush::Ok);
+    EXPECT_EQ(queue.push(i).status, QueuePush::Ok);
   }
   EXPECT_EQ(queue.approxDepth(), 10u);
   const auto drained = drainAll(queue);
@@ -37,42 +37,25 @@ TEST(CommandQueue, DrainsInPushOrder) {
   EXPECT_EQ(queue.approxDepth(), 0u);
 }
 
-TEST(CommandQueue, ReportsCapacityStatuses) {
-  CommandQueue<Item> queue(2);
-  EXPECT_EQ(queue.push(1, false).status, QueuePush::Ok);
-  const auto second = queue.push(2, false);
-  EXPECT_EQ(second.status, QueuePush::Ok);
-  EXPECT_EQ(second.depth, 2u);
-  // Soft bound: without refuseAtCapacity the push still commits.
-  const auto third = queue.push(3, false);
-  EXPECT_EQ(third.status, QueuePush::Ok);
-  EXPECT_EQ(third.depth, 3u);
-  // Hard bound: refuseAtCapacity refuses and commits nothing.
-  const auto fourth = queue.push(4, true);
-  EXPECT_EQ(fourth.status, QueuePush::Refused);
-  EXPECT_EQ(fourth.depth, 3u);
-  EXPECT_EQ(drainAll(queue).size(), 3u);
-}
-
 TEST(CommandQueue, PushDepthSeesEveryPeak) {
   // The gauge-undercount fix: the depth reported by push() itself must
   // reflect this push, so a consumer draining whole batches between
   // samples cannot hide the peak.
-  CommandQueue<Item> queue(128);
+  CommandQueue<Item> queue;
   std::size_t maxSeen = 0;
   for (Item i = 0; i < 5; ++i) {
-    const auto result = queue.push(i, false);
+    const auto result = queue.push(i);
     if (result.depth > maxSeen) maxSeen = result.depth;
   }
   EXPECT_EQ(maxSeen, 5u);
 }
 
 TEST(CommandQueue, CloseRefusesPushesButDrainsRemainder) {
-  CommandQueue<Item> queue(8);
-  EXPECT_EQ(queue.push(1, false).status, QueuePush::Ok);
-  EXPECT_EQ(queue.push(2, false).status, QueuePush::Ok);
+  CommandQueue<Item> queue;
+  EXPECT_EQ(queue.push(1).status, QueuePush::Ok);
+  EXPECT_EQ(queue.push(2).status, QueuePush::Ok);
   queue.close();
-  EXPECT_EQ(queue.push(3, false).status, QueuePush::Closed);
+  EXPECT_EQ(queue.push(3).status, QueuePush::Closed);
   // Everything admitted before the close is still there, and once it is
   // gone a drain returns 0 instead of parking.
   std::vector<Item> drained;
@@ -84,7 +67,7 @@ TEST(CommandQueue, CloseRefusesPushesButDrainsRemainder) {
 }
 
 TEST(CommandQueue, CloseWakesParkedConsumer) {
-  CommandQueue<Item> queue(8);
+  CommandQueue<Item> queue;
   std::atomic<bool> woke{false};
   std::size_t drained = 99;
   std::thread consumer([&] {
@@ -105,7 +88,7 @@ TEST(CommandQueue, MultiProducerStressKeepsFifoPerProducerAndLosesNothing) {
   // are exactly the invariants the server's replay identity rests on.
   constexpr int kProducers = 4;
   constexpr Item kOps = 2000;
-  CommandQueue<Item> queue(256);
+  CommandQueue<Item> queue;
 
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
@@ -113,7 +96,7 @@ TEST(CommandQueue, MultiProducerStressKeepsFifoPerProducerAndLosesNothing) {
     producers.emplace_back([&queue, p] {
       for (Item seq = 0; seq < kOps; ++seq) {
         const Item item = (static_cast<Item>(p) << 32) | seq;
-        const auto result = queue.push(item, false);
+        const auto result = queue.push(item);
         ASSERT_EQ(result.status, QueuePush::Ok);
         if (result.depth >= 512) std::this_thread::yield();
       }

@@ -315,13 +315,34 @@ TEST(Service, PipelinedClientsMatchInProcessReplayInArrivalOrder) {
 // One raw v2 connection against a sharded server: cheap STATS commands
 // (shard queue 0) interleaved with expensive NEGOTIATEs (home-shard queues)
 // must come back correlated by requestId — and, because the shards execute
-// in parallel, genuinely out of submission order.
+// in parallel, genuinely out of submission order.  Every worker but queue
+// 0's is held until its pair's first response is read, so each NEGOTIATE
+// homed on another shard is certainly overtaken by its STATS.
 TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
   ServerConfig config = unixConfig(16);
   config.shards = 4;
+  // Queue 0's worker is the first to reach the seam: the lone STATS below
+  // is the first command enqueued.
+  std::atomic<std::thread::id> queue0Worker{};
+  std::atomic<bool> holdOthers{false};
+  config.workerSeamForTest = [&] {
+    const auto self = std::this_thread::get_id();
+    std::thread::id unset;
+    if (queue0Worker.compare_exchange_strong(unset, self)) return;
+    if (self == queue0Worker.load()) return;
+    for (int i = 0; i < 5000 && holdOthers.load(); ++i) {
+      std::this_thread::sleep_for(1ms);
+    }
+  };
   NegotiationServer server(config);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
+  // Release held workers before the server stops, even when an assertion
+  // bails out.
+  struct ReleaseHeld {
+    std::atomic<bool>& flag;
+    ~ReleaseHeld() { flag.store(false); }
+  } release{holdOthers};
 
   auto connected =
       net::connectUnix(server.unixPath(), net::Deadline::after(1s));
@@ -349,6 +370,18 @@ TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
   EXPECT_EQ(grant->version, kProtocolVersionV2);
   EXPECT_EQ(grant->window, 64u);
 
+  Request probe;
+  probe.command = Command::Stats;
+  probe.id = 2;
+  ASSERT_TRUE(net::writeFrame(connected.socket, encodeRequest(probe), limits,
+                              net::Deadline::after(1s))
+                  .ok());
+  auto probeFrame = net::readFrame(connected.socket, limits,
+                                   net::Deadline::after(5s),
+                                   net::Deadline::after(5s));
+  ASSERT_TRUE(probeFrame.ok()) << probeFrame.message;
+  ASSERT_NE(queue0Worker.load(), std::thread::id{});
+
   // One pair at a time: a NEGOTIATE carrying dozens of chains (deliberately
   // expensive to schedule, routed to its home-shard queue) followed in the
   // same write by an O(1) STATS (queue 0).  Separate workers execute them
@@ -373,6 +406,7 @@ TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
     std::string wire;
     ASSERT_TRUE(net::appendFrame(wire, encodeRequest(negotiate), limits).ok());
     ASSERT_TRUE(net::appendFrame(wire, encodeRequest(stats), limits).ok());
+    holdOthers.store(true);
     ASSERT_TRUE(connected.socket
                     .writeAll(wire.data(), wire.size(),
                               net::Deadline::after(5s))
@@ -389,6 +423,7 @@ TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
           << decoded.response->error->code << ": "
           << decoded.response->error->message;
       order.push_back(decoded.response->id);
+      holdOthers.store(false);
     }
     // Both responses, each exactly once, correlated by id.
     ASSERT_NE(order[0], order[1]);
@@ -397,8 +432,8 @@ TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
     }
     if (order[0] == stats.id) ++inversions;
   }
-  // A v1 stream would force all ten pairs into submit order; v2 must let
-  // the cheap command win at least once (in practice: almost every time).
+  // A v1 stream would force all ten pairs into submit order; v2 lets the
+  // cheap command win whenever its NEGOTIATE is homed on another shard.
   EXPECT_GT(inversions, 0u);
 
   QoSAgentClient client(clientFor(server));
@@ -494,11 +529,26 @@ TEST(Service, WindowExceededGetsTypedBusyAndConnectionSurvives) {
 
 // Tiny shard queue + pipelined burst: queue-full busy rejections never
 // execute, never draw a sequence number, and the executed subset still
-// replays to identical decisions.
+// replays to identical decisions.  The worker is wedged on its first batch
+// until a busy refusal has happened, so the burst provably meets a full
+// queue however fast the worker would otherwise keep up.
 TEST(Service, TinyQueueBusyPreservesReplayEquivalence) {
   ServerConfig config = unixConfig(8);
   config.commandQueueCapacity = 1;
+  std::atomic<NegotiationServer*> seamServer{nullptr};
+  std::atomic<int> seamCalls{0};
+  config.workerSeamForTest = [&] {
+    if (seamCalls.fetch_add(1) != 0) return;  // wedge the first batch only
+    for (int i = 0; i < 5000; ++i) {
+      const NegotiationServer* running = seamServer.load();
+      if (running != nullptr && running->counters().busyRejections > 0) {
+        return;
+      }
+      std::this_thread::sleep_for(1ms);
+    }
+  };
   NegotiationServer server(config);
+  seamServer.store(&server);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 

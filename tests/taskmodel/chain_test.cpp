@@ -81,20 +81,29 @@ TEST(Validate, AcceptsWellFormedSpec) {
   EXPECT_TRUE(validate(spec).empty());
 }
 
+// The rejection tests pin each diagnostic's full text: the messages reach
+// clients as "bad spec: ..." errors.
 TEST(Validate, RejectsNoChains) {
   TunableJobSpec spec;
   spec.name = "empty";
-  const auto errors = validate(spec);
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("no chains"), std::string::npos);
+  EXPECT_EQ(validate(spec),
+            (std::vector<std::string>{"job 'empty' has no chains"}));
 }
 
 TEST(Validate, RejectsEmptyChain) {
   TunableJobSpec spec;
   spec.chains = {Chain{}};
-  const auto errors = validate(spec);
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors[0].find("is empty"), std::string::npos);
+  EXPECT_EQ(validate(spec),
+            (std::vector<std::string>{"job '' chain 0 ('') is empty"}));
+
+  // The location names the chain by index and name, past one digit too.
+  Chain empty;
+  empty.name = "e";
+  spec.name = "j";
+  spec.chains.assign(10, twoTaskChain());
+  spec.chains.push_back(empty);
+  EXPECT_EQ(validate(spec),
+            (std::vector<std::string>{"job 'j' chain 10 ('e') is empty"}));
 }
 
 TEST(Validate, RejectsBadShape) {
@@ -105,18 +114,23 @@ TEST(Validate, RejectsBadShape) {
   bad.request = {0, 0};
   chain.tasks = {bad};
   spec.chains = {chain};
-  const auto errors = validate(spec);
-  EXPECT_GE(errors.size(), 2u);  // processors and duration
+  EXPECT_EQ(validate(spec),
+            (std::vector<std::string>{
+                "job '' chain 0 ('') task 0 ('bad'): processors <= 0",
+                "job '' chain 0 ('') task 0 ('bad'): duration <= 0"}));
 }
 
 TEST(Validate, RejectsQualityOutOfRange) {
   TunableJobSpec spec;
   auto chain = twoTaskChain();
   chain.tasks[0].quality = 1.5;
+  chain.tasks[1].quality = -0.5;
   spec.chains = {chain};
-  const auto errors = validate(spec);
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors[0].find("quality"), std::string::npos);
+  EXPECT_EQ(validate(spec),
+            (std::vector<std::string>{
+                "job '' chain 0 ('c') task 0 ('a'): quality outside [0, 1]",
+                "job '' chain 0 ('c') task 1 ('b'): quality outside "
+                "[0, 1]"}));
 }
 
 TEST(Validate, RejectsDecreasingDeadlines) {
@@ -125,9 +139,11 @@ TEST(Validate, RejectsDecreasingDeadlines) {
   chain.tasks = {TaskSpec::rigid("a", 1, 10, 100),
                  TaskSpec::rigid("b", 1, 10, 50)};
   spec.chains = {chain};
-  const auto errors = validate(spec);
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors[0].find("deadline decreases"), std::string::npos);
+  EXPECT_EQ(validate(spec),
+            (std::vector<std::string>{
+                "job '' chain 0 ('') task 1 ('b'): relative deadline "
+                "decreases along the chain (a deadline covers all "
+                "predecessors, so it must be non-decreasing)"}));
 }
 
 TEST(Validate, RejectsInfeasibleCriticalPath) {
@@ -135,9 +151,22 @@ TEST(Validate, RejectsInfeasibleCriticalPath) {
   Chain chain;
   chain.tasks = {TaskSpec::rigid("a", 1, 100, 50)};  // 100 > deadline 50
   spec.chains = {chain};
-  const auto errors = validate(spec);
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors[0].find("infeasible"), std::string::npos);
+  EXPECT_EQ(validate(spec),
+            (std::vector<std::string>{
+                "job '' chain 0 ('') task 0 ('a'): infeasible even on an "
+                "idle machine (critical path 0.0001 exceeds deadline "
+                "0.00005)"}));
+
+  // The critical path accumulates along the chain: 2.5 + 1 units against
+  // the second task's 3-unit deadline.
+  chain.tasks = {
+      TaskSpec::rigid("a", 1, 5 * kTicksPerUnit / 2, 3 * kTicksPerUnit),
+      TaskSpec::rigid("b", 1, kTicksPerUnit, 3 * kTicksPerUnit)};
+  spec.chains = {chain};
+  EXPECT_EQ(validate(spec),
+            (std::vector<std::string>{
+                "job '' chain 0 ('') task 1 ('b'): infeasible even on an "
+                "idle machine (critical path 3.5 exceeds deadline 3)"}));
 }
 
 TEST(Validate, RejectsInconsistentMalleableSpec) {
@@ -147,9 +176,15 @@ TEST(Validate, RejectsInconsistentMalleableSpec) {
   t.malleable = MalleableSpec{80, 4};  // maxConcurrency < shape processors
   chain.tasks = {t};
   spec.chains = {chain};
-  const auto errors = validate(spec);
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors[0].find("concurrency"), std::string::npos);
+  EXPECT_EQ(validate(spec),
+            (std::vector<std::string>{
+                "job '' chain 0 ('') task 0 ('a'): degree of concurrency "
+                "below the rigid shape's processors"}));
+
+  spec.chains[0].tasks[0].malleable = MalleableSpec{0, 8};
+  EXPECT_EQ(validate(spec),
+            (std::vector<std::string>{
+                "job '' chain 0 ('') task 0 ('a'): malleable work <= 0"}));
 }
 
 TEST(Validate, ReportsChainAndTaskNames) {
@@ -158,12 +193,12 @@ TEST(Validate, ReportsChainAndTaskNames) {
   Chain chain;
   chain.name = "mychain";
   chain.tasks = {TaskSpec::rigid("mytask", 1, 100, 50)};
-  spec.chains = {chain};
-  const auto errors = validate(spec);
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors[0].find("myjob"), std::string::npos);
-  EXPECT_NE(errors[0].find("mychain"), std::string::npos);
-  EXPECT_NE(errors[0].find("mytask"), std::string::npos);
+  spec.chains = {twoTaskChain(), chain};
+  EXPECT_EQ(validate(spec),
+            (std::vector<std::string>{
+                "job 'myjob' chain 1 ('mychain') task 0 ('mytask'): "
+                "infeasible even on an idle machine (critical path 0.0001 "
+                "exceeds deadline 0.00005)"}));
 }
 
 }  // namespace

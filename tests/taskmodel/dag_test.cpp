@@ -61,18 +61,27 @@ TEST(ValidateDag, AcceptsDiamond) {
   EXPECT_TRUE(validateDag(spec).empty());
 }
 
+// The rejection tests pin each diagnostic's full text.
 TEST(ValidateDag, RejectsEmptyAndCyclic) {
   TunableDagJobSpec empty;
   empty.name = "empty";
-  EXPECT_FALSE(validateDag(empty).empty());
+  EXPECT_EQ(validateDag(empty),
+            (std::vector<std::string>{"dag job 'empty' has no alternatives"}));
+
+  DagSpec emptyAlternative;
+  emptyAlternative.name = "e";
+  empty.alternatives = {diamond(), emptyAlternative};
+  EXPECT_EQ(validateDag(empty),
+            (std::vector<std::string>{
+                "dag job 'empty' alternative 1 ('e') is empty"}));
 
   TunableDagJobSpec cyclic;
   DagSpec dag;
   dag.tasks = {node("a", 1, 10, 1000, {1}), node("b", 1, 10, 1000, {0})};
   cyclic.alternatives = {dag};
-  const auto errors = validateDag(cyclic);
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors[0].find("cycle"), std::string::npos);
+  EXPECT_EQ(validateDag(cyclic),
+            (std::vector<std::string>{
+                "dag job '' alternative 0 ('') contains a cycle"}));
 }
 
 TEST(ValidateDag, RejectsSelfLoopAndBadIndex) {
@@ -80,16 +89,18 @@ TEST(ValidateDag, RejectsSelfLoopAndBadIndex) {
   DagSpec dag;
   dag.tasks = {node("a", 1, 10, 1000, {0})};  // self-loop
   spec.alternatives = {dag};
-  auto errors = validateDag(spec);
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors[0].find("itself"), std::string::npos);
+  EXPECT_EQ(validateDag(spec),
+            (std::vector<std::string>{
+                "dag job '' alternative 0 ('') task 0 ('a'): task depends on "
+                "itself"}));
 
   DagSpec bad;
   bad.tasks = {node("a", 1, 10, 1000, {7})};
   spec.alternatives = {bad};
-  errors = validateDag(spec);
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors[0].find("out of range"), std::string::npos);
+  EXPECT_EQ(validateDag(spec),
+            (std::vector<std::string>{
+                "dag job '' alternative 0 ('') task 0 ('a'): predecessor "
+                "index out of range"}));
 }
 
 TEST(ValidateDag, RejectsInfeasibleDeadlineAlongPath) {
@@ -98,21 +109,32 @@ TEST(ValidateDag, RejectsInfeasibleDeadlineAlongPath) {
   // a(30) -> b(30) with b's deadline at 50 < 60.
   dag.tasks = {node("a", 1, 30, 1000), node("b", 1, 30, 50, {0})};
   spec.alternatives = {dag};
-  const auto errors = validateDag(spec);
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors[0].find("infeasible"), std::string::npos);
+  EXPECT_EQ(validateDag(spec),
+            (std::vector<std::string>{
+                "dag job '' alternative 0 ('') task 1 ('b'): infeasible even "
+                "on an idle machine (earliest finish 0.00006 exceeds "
+                "deadline 0.00005)"}));
 }
 
 TEST(ValidateDag, RejectsBadShapes) {
   TunableDagJobSpec spec;
+  spec.name = "d";
   DagSpec dag;
+  dag.name = "alt";
   DagTask bad;
   bad.spec.name = "bad";
   bad.spec.request = {0, 0};
   bad.spec.quality = 2.0;
   dag.tasks = {bad};
   spec.alternatives = {dag};
-  EXPECT_GE(validateDag(spec).size(), 3u);
+  EXPECT_EQ(validateDag(spec),
+            (std::vector<std::string>{
+                "dag job 'd' alternative 0 ('alt') task 0 ('bad'): "
+                "processors <= 0",
+                "dag job 'd' alternative 0 ('alt') task 0 ('bad'): "
+                "duration <= 0",
+                "dag job 'd' alternative 0 ('alt') task 0 ('bad'): quality "
+                "outside [0, 1]"}));
 }
 
 TEST(DagFromChains, PreservesStructure) {
