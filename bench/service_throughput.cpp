@@ -1,10 +1,9 @@
 // Loopback throughput microbench for the negotiation service.
 //
-//   service_throughput --clients=8 --requests=200 --procs=64 \
-//       --out=BENCH_service.json
+//   service_throughput --clients=8 --requests=200 --out=BENCH_service.json
 //   service_throughput --shards=4 --deep --cancel-every=3 ...
-//   service_throughput --sweep=1,2,4 --deep --cancel-every=3 \
-//       --clients=8 --requests=3000 --out=BENCH_service.json
+//   service_throughput --sweep=1,2,4 --deep --cancel-every=3 --requests=3000
+//       --clients=8 --out=BENCH_service.json     (one command line)
 //   service_throughput --shards=1 --replay-verify
 //
 // Spins up an in-process NegotiationServer on a private Unix socket, then
@@ -277,7 +276,11 @@ LegResult runLeg(const BenchOptions& options,
           service::PipelinedClient::ResponseFuture future;
         };
         std::deque<InFlight> inflight;
-        std::vector<service::PipelinedClient::ResponseFuture> cancelFutures;
+        struct PendingCancel {
+          std::uint64_t jobId = 0;
+          service::PipelinedClient::ResponseFuture future;
+        };
+        std::vector<PendingCancel> cancels;
         std::uint64_t admitted = 0;
         std::uint64_t busyRetries = 0;
         bool failed = false;
@@ -320,7 +323,8 @@ LegResult runLeg(const BenchOptions& options,
             if (options.cancelEvery > 0 &&
                 admitted % static_cast<std::uint64_t>(options.cancelEvery) ==
                     0) {
-              cancelFutures.push_back(client.cancelAsync(decision->jobId));
+              cancels.push_back(
+                  {decision->jobId, client.cancelAsync(decision->jobId)});
             }
           }
         };
@@ -344,9 +348,20 @@ LegResult runLeg(const BenchOptions& options,
           inflight.pop_front();
         }
         (void)client.flush();
-        for (auto& future : cancelFutures) {
+        for (auto& pending : cancels) {
+          auto response = pending.future.get();
+          while (!response.ok() &&
+                 response.error.status == service::ClientStatus::Busy) {
+            // Same backoff as NEGOTIATE: a refused CANCEL is resubmitted,
+            // so this leg cancels exactly what the blocking leg does.
+            ++busyRetries;
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            auto retry = client.cancelAsync(pending.jobId);
+            (void)client.flush();
+            response = retry.get();
+          }
           auto cancelled = service::extractResult<service::CancelResult>(
-              future.get());
+              std::move(response));
           if (cancelled.ok() && cancelled->freedTicks > 0) {
             ++cancelledPerClient[static_cast<std::size_t>(c)];
           }

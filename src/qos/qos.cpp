@@ -93,9 +93,13 @@ sched::AdmissionDecision QoSArbitrator::submit(
   ++admitted_;
   if (metrics_ != nullptr) metrics_->admitted->add();
   record(job.id, decision.schedule.chainIndex, decision.schedule.placements);
-  live_[job.id] = LiveJob{spec, release, decision.schedule.chainIndex,
-                          decision.schedule.placements, decision.quality,
-                          decision.quality};
+  LiveJob& live = live_[job.id];
+  live.spec = spec;
+  live.release = release;
+  live.chainIndex = decision.schedule.chainIndex;
+  live.placements = decision.schedule.placements;
+  live.admittedQuality = decision.quality;
+  live.currentQuality = decision.quality;
   return decision;
 }
 
@@ -209,33 +213,31 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
     }
 
     // Cheapest outcome: the original future placements still fit verbatim.
-    // Probed under an undo-log trial scope: committed if they all fit,
-    // rolled back (by the scope's destructor) otherwise.
+    // They are one chain's tasks in order, so no two overlap and each can be
+    // probed against the profile independently; reserve only if all fit.
     bool verbatim = true;
-    {
-      resource::AvailabilityProfile::Trial trial(profile_);
+    for (std::size_t k = firstFuture; k < job.placements.size(); ++k) {
+      const auto& p = job.placements[k];
+      TPRM_CHECK(k == firstFuture ||
+                     p.interval.begin >= job.placements[k - 1].interval.end,
+                 "a live job's placements run one after another");
+      if (profile_.minAvailable(p.interval) < p.processors) {
+        verbatim = false;
+        break;
+      }
+    }
+    if (verbatim) {
       for (std::size_t k = firstFuture; k < job.placements.size(); ++k) {
         const auto& p = job.placements[k];
-        if (profile_.minAvailable(p.interval) >= p.processors) {
-          profile_.reserve(p.interval, p.processors);
-        } else {
-          verbatim = false;
-          break;
-        }
+        profile_.reserve(p.interval, p.processors);
+        ledger_.add(resource::Reservation{
+            jobId, static_cast<int>(taskIndexOf(job, k)),
+            static_cast<int>(job.chainIndex), p.interval, p.processors,
+            p.deadline});
       }
-      if (verbatim) {
-        trial.commit();
-        for (std::size_t k = firstFuture; k < job.placements.size(); ++k) {
-          const auto& p = job.placements[k];
-          ledger_.add(resource::Reservation{
-              jobId, static_cast<int>(taskIndexOf(job, k)),
-              static_cast<int>(job.chainIndex), p.interval, p.processors,
-              p.deadline});
-        }
-        report.kept.push_back(jobId);
-        if (metrics_ != nullptr) metrics_->resizeKept->add();
-        continue;
-      }
+      report.kept.push_back(jobId);
+      if (metrics_ != nullptr) metrics_->resizeKept->add();
+      continue;
     }
 
     if (job.pinned) {
@@ -426,7 +428,7 @@ std::optional<QualityMove> QoSArbitrator::tryMoveInTrial(
     return std::nullopt;
   }
 
-  auto decision = elasticHeuristic_.admitInTrial(instance, profile_, trial);
+  auto decision = elasticHeuristic_.admit(instance, profile_);
   if (!decision.admitted) {
     trial.rollbackTo(mark);
     return std::nullopt;
@@ -489,7 +491,7 @@ sched::AdmissionDecision QoSArbitrator::reshapeAdmit(
                                /*promote=*/false);
     if (!move) continue;
     pending.push_back(std::move(*move));
-    decision = heuristic_.admitInTrial(newcomer, profile_, trial);
+    decision = heuristic_.admit(newcomer, profile_);
     if (decision.admitted) break;
   }
   if (!decision.admitted) {

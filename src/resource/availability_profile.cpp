@@ -66,13 +66,13 @@ AvailabilityProfile& AvailabilityProfile::operator=(
   return *this;
 }
 
-std::size_t AvailabilityProfile::indexFor(Time t) const {
-  TPRM_CHECK(t >= segments_.front().start,
+std::size_t AvailabilityProfile::indexFor(Time t, std::size_t from) const {
+  TPRM_CHECK(t >= segments_[from].start,
              "query before the garbage-collected horizon");
   // Last segment whose start is <= t.
   const auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), t,
-      [](Time value, const Segment& s) { return value < s.start; });
+      segments_.begin() + static_cast<std::ptrdiff_t>(from), segments_.end(),
+      t, [](Time value, const Segment& s) { return value < s.start; });
   return static_cast<std::size_t>(it - segments_.begin()) - 1;
 }
 
@@ -177,21 +177,18 @@ std::optional<Time> AvailabilityProfile::findEarliestFit(Time earliest,
   const std::size_t n = segments_.size();
   CounterFlush scanned{metrics_ != nullptr ? metrics_->segmentsScanned
                                            : nullptr};
-  std::size_t i;
   // A hint is honoured only when written by THIS profile (identity token)
   // at its CURRENT state (mutation counter): equal counters on different
-  // profiles are a coincidence, not equivalence.
-  if (hint != nullptr && hint->profile == id_ && hint->version == version_ &&
-      hint->time <= earliest && hint->index < n) {
-    // Resume: successive probes only move forward in time, so the segment
-    // containing `earliest` is at or after the hinted one.
-    if (metrics_ != nullptr) metrics_->fitHintHits->add();
-    i = hint->index;
-    while (i + 1 < n && segments_[i + 1].start <= earliest) ++i;
-  } else {
-    if (metrics_ != nullptr && hint != nullptr) metrics_->fitHintMisses->add();
-    i = indexFor(earliest);
+  // profiles are a coincidence, not equivalence.  Successive probes only move
+  // forward in time, so a live hint bounds the search to the segments from
+  // the hinted one on; the index found is the same either way.
+  const bool resume = hint != nullptr && hint->profile == id_ &&
+                      hint->version == version_ && hint->time <= earliest &&
+                      hint->index < n;
+  if (metrics_ != nullptr && hint != nullptr) {
+    (resume ? metrics_->fitHintHits : metrics_->fitHintMisses)->add();
   }
+  std::size_t i = indexFor(earliest, resume ? hint->index : 0);
   if (hint != nullptr) *hint = FitHint{id_, version_, earliest, i};
 
   // Scan segments accumulating a contiguous run of sufficient availability.

@@ -50,7 +50,7 @@ struct MaximalHole {
 
 /// Caller-owned resume hint for `findEarliestFit`.  A probe records where its
 /// scan entered the step function; the next probe with the same or a later
-/// `earliest` resumes there instead of binary-searching from scratch.  The
+/// `earliest` searches only the segments from there on.  The
 /// hint is validated against both the issuing profile's identity token and
 /// its mutation counter, so a stale hint (any reserve/release/discard since
 /// it was written) or a foreign hint (written by a *different* profile whose
@@ -74,12 +74,13 @@ struct FitHint {
 ///  * beyond the last reservation the availability is `totalProcessors`
 ///    (reservations are finite).
 ///
-/// Trial placement: the arbitrator evaluates the OR-graph of a job's chains
-/// by reserving speculative placements directly into the shared profile
-/// under a `Trial` scope (an undo log of the applied operations).  Rolling
-/// back replays the inverse operations, which costs O(touched segments)
-/// instead of the O(profile) copy the previous copy-on-use scheme paid per
-/// candidate chain.
+/// Trial placement: speculation whose later steps must see its earlier
+/// reservations (DAG alternatives, elastic victim shrinks, gang phase 1)
+/// reserves directly into the shared profile under a `Trial` scope (an undo
+/// log of the applied operations).  Rolling back replays the inverse
+/// operations, which costs O(touched segments) instead of a profile copy.
+/// Chain admission needs none: a chain's tasks never overlap in time, so
+/// chains are probed read-only and only the winner is reserved.
 class AvailabilityProfile {
  public:
   /// RAII undo-log scope for speculative placement.  While a Trial is open,
@@ -232,8 +233,9 @@ class AvailabilityProfile {
   /// blocks that cannot satisfy a request.
   static constexpr std::size_t kBlockSize = 32;
 
-  /// Index of the segment containing `t` (t >= horizon start).
-  [[nodiscard]] std::size_t indexFor(Time t) const;
+  /// Index of the segment containing `t`, searching segments `from` onward
+  /// (t >= that segment's start, so t >= horizon start with the default).
+  [[nodiscard]] std::size_t indexFor(Time t, std::size_t from = 0) const;
 
   /// Ensures a segment boundary exists exactly at `t` (t >= horizon start,
   /// t < infinity).  Returns the index of the segment starting at `t`.

@@ -15,10 +15,9 @@ AdmissionDecision BestEffortArbitrator::admit(
   AdmissionDecision decision;
   decision.chainsConsidered = static_cast<int>(job.spec.chains.size());
 
-  // Earliest-finishing chain, ignoring all deadlines.  Chains are placed
-  // speculatively under one undo-log trial scope (rolled back between
-  // candidates) instead of copying the profile per chain.
-  resource::AvailabilityProfile::Trial trial(profile);
+  // Earliest-finishing chain, ignoring all deadlines.  Chains are probed
+  // read-only (a task never looks before its predecessor's end, so reserving
+  // the predecessor could not move it); only the winner is reserved.
   std::optional<ChainSchedule> best;
   for (std::size_t c = 0; c < job.spec.chains.size(); ++c) {
     const task::Chain& chain = job.spec.chains[c];
@@ -36,13 +35,11 @@ AdmissionDecision BestEffortArbitrator::admit(
         break;
       }
       const TimeInterval iv{*start, *start + taskSpec.request.duration};
-      profile.reserve(iv, taskSpec.request.processors);
       // No guarantee attached: deadline recorded as infinity.
       schedule.placements.push_back(
           TaskPlacement{iv, taskSpec.request.processors, kTimeInfinity});
       earliest = iv.end;
     }
-    trial.rollback();
     if (!ok) continue;
     ++decision.chainsSchedulable;
     if (!best || schedule.finishTime() < best->finishTime()) {
@@ -54,7 +51,6 @@ AdmissionDecision BestEffortArbitrator::admit(
   for (const auto& p : best->placements) {
     profile.reserve(p.interval, p.processors);
   }
-  trial.commit();
   decision.admitted = true;
   decision.quality = job.spec.chains[best->chainIndex].quality(
       job.spec.qualityComposition);

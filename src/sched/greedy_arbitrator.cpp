@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/check.h"
 #include "obs/metrics.h"
 
 namespace tprm::sched {
@@ -84,8 +83,8 @@ std::optional<TaskPlacement> GreedyArbitrator::placeTask(
 
   // Malleable placement (Section 5.4): try processor counts from the degree
   // of concurrency downward.  The probes share `hint`: the profile does not
-  // change between them, so each q after the first resumes the step-function
-  // scan at `earliest` without a fresh binary search.
+  // change between them, so each q after the first searches only from the
+  // segment the previous probe entered at.
   const auto& spec = *taskSpec.malleable;
   std::optional<TaskPlacement> best;
   for (int q = spec.maxConcurrency; q >= 1; --q) {
@@ -103,15 +102,17 @@ std::optional<TaskPlacement> GreedyArbitrator::placeTask(
   return best;
 }
 
-std::optional<ChainSchedule> GreedyArbitrator::placeChain(
+std::optional<ChainSchedule> GreedyArbitrator::tryChain(
     const task::JobInstance& job, std::size_t chainIndex,
-    resource::AvailabilityProfile& profile) const {
-  TPRM_CHECK(profile.inTrial(), "placeChain requires an open Trial scope");
+    const resource::AvailabilityProfile& profile) const {
   const task::Chain& chain = job.spec.chains[chainIndex];
   ChainSchedule schedule;
   schedule.chainIndex = chainIndex;
   schedule.placements.reserve(chain.tasks.size());
 
+  // Task k+1 probes only times >= task k's end, so reserving task k could
+  // not change its placement: the chain is planned against the unmodified
+  // profile, and one hint is shared from one task's probe to the next.
   Time earliest = job.release;
   resource::FitHint hint;
   for (std::size_t k = 0; k < chain.tasks.size(); ++k) {
@@ -119,34 +120,14 @@ std::optional<ChainSchedule> GreedyArbitrator::placeChain(
     const auto placement =
         placeTask(chain.tasks[k], earliest, deadline, profile, &hint);
     if (!placement) return std::nullopt;
-    profile.reserve(placement->interval, placement->processors);
     earliest = placement->interval.end;
     schedule.placements.push_back(*placement);
   }
   return schedule;
 }
 
-std::optional<ChainSchedule> GreedyArbitrator::tryChain(
-    const task::JobInstance& job, std::size_t chainIndex,
-    resource::AvailabilityProfile& profile) const {
-  resource::AvailabilityProfile::Trial trial(profile);
-  return placeChain(job, chainIndex, profile);
-  // ~Trial rolls the speculative reservations back.
-}
-
 AdmissionDecision GreedyArbitrator::admit(
     const task::JobInstance& job, resource::AvailabilityProfile& profile) {
-  // One trial scope serves the whole OR-graph of chains; the winner's
-  // reservations are left pending by admitInTrial and committed here.
-  resource::AvailabilityProfile::Trial trial(profile);
-  AdmissionDecision decision = admitInTrial(job, profile, trial);
-  if (decision.admitted) trial.commit();
-  return decision;
-}
-
-AdmissionDecision GreedyArbitrator::admitInTrial(
-    const task::JobInstance& job, resource::AvailabilityProfile& profile,
-    resource::AvailabilityProfile::Trial& trial) {
   AdmissionDecision decision;
   decision.chainsConsidered = static_cast<int>(job.spec.chains.size());
 
@@ -159,15 +140,9 @@ AdmissionDecision GreedyArbitrator::admitInTrial(
   };
   std::vector<Candidate> candidates;
 
-  // Each candidate's speculative reservations are rolled back to the entry
-  // savepoint before the next is evaluated, and the winner is re-reserved at
-  // the end.  Anything logged before entry (e.g. a victim shrink) survives.
-  const auto base = trial.savepoint();
-
   for (std::size_t c = 0; c < job.spec.chains.size(); ++c) {
     if (metrics_ != nullptr) metrics_->chainsEvaluated->add();
-    auto schedule = placeChain(job, c, profile);
-    trial.rollbackTo(base);  // profile back to the entry state either way
+    auto schedule = tryChain(job, c, profile);
     if (!schedule) continue;
     Candidate candidate;
     candidate.finish = schedule->finishTime();

@@ -16,10 +16,12 @@
 // heuristic tries q from the highest value downward and keeps the placement
 // that finishes earliest (ties to more processors, i.e. the first tried).
 //
-// Candidate chains are evaluated with speculative reservations under one
-// AvailabilityProfile::Trial scope (undo log), rolled back between chains —
-// O(touched segments) per candidate instead of the former per-chain profile
-// copy.
+// Candidate chains are probed read-only (`tryChain`): a chain's tasks run one
+// after another, so task k+1 only looks at times at or after task k's end and
+// reserving task k could not change it.  `admit` reserves only the winner's
+// placements and leaves the profile untouched on rejection, so it composes
+// inside a caller's Trial scope (elastic renegotiation) without one of its
+// own.
 #pragma once
 
 #include <optional>
@@ -96,26 +98,15 @@ class GreedyArbitrator final : public Arbitrator {
   AdmissionDecision admit(const task::JobInstance& job,
                           resource::AvailabilityProfile& profile) override;
 
-  /// The admission heuristic run inside a caller-owned Trial scope: evaluates
-  /// every chain (rolling speculative placements back to a savepoint taken at
-  /// entry), and on success leaves the winner's reservations *pending in the
-  /// trial log* — the caller decides whether to commit.  On rejection the
-  /// profile is back at the entry savepoint.  This is the composition point
-  /// for elastic renegotiation, which stacks a victim shrink and a newcomer
-  /// admission inside one trial; `admit()` is exactly this plus commit.
-  AdmissionDecision admitInTrial(const task::JobInstance& job,
-                                 resource::AvailabilityProfile& profile,
-                                 resource::AvailabilityProfile::Trial& trial);
-
   [[nodiscard]] std::string name() const override;
 
-  /// Places one chain speculatively (own Trial scope, rolled back before
-  /// returning, so `profile` is unchanged).  Returns the schedule iff every
-  /// task fits within its deadline.  Exposed for tests and for the ablation
-  /// benches.
+  /// Places one chain against `profile` without modifying it.  Returns the
+  /// schedule iff every task fits within its deadline.  `admit` probes every
+  /// chain this way and reserves only the winner; exposed for tests and for
+  /// the ablation benches.
   [[nodiscard]] std::optional<ChainSchedule> tryChain(
       const task::JobInstance& job, std::size_t chainIndex,
-      resource::AvailabilityProfile& profile) const;
+      const resource::AvailabilityProfile& profile) const;
 
   /// Attaches (or with nullptr detaches) admission counters: chains
   /// evaluated/schedulable, jobs admitted/rejected.  Observation only —
@@ -124,15 +115,11 @@ class GreedyArbitrator final : public Arbitrator {
   [[nodiscard]] obs::ArbitratorMetrics* metrics() const { return metrics_; }
 
  private:
-  /// Places one chain, reserving each placement into `profile`.  REQUIRES an
-  /// open Trial scope on `profile`; the caller rolls back (or commits).
-  [[nodiscard]] std::optional<ChainSchedule> placeChain(
-      const task::JobInstance& job, std::size_t chainIndex,
-      resource::AvailabilityProfile& profile) const;
-
   /// Places a single task at/after `earliest`; returns placement or nullopt.
-  /// `hint` accelerates repeated first-fit probes (the malleable q-downward
-  /// search probes the same `earliest` up to degreeOfConcurrency times).
+  /// `hint` is shared by repeated first-fit probes (the malleable q-downward
+  /// search probes the same `earliest` up to degreeOfConcurrency times, and
+  /// each later task of the chain probes after its predecessor): each probe
+  /// searches only from the segment the previous one entered at.
   [[nodiscard]] std::optional<TaskPlacement> placeTask(
       const task::TaskSpec& taskSpec, Time earliest, Time deadline,
       const resource::AvailabilityProfile& profile,

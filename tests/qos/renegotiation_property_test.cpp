@@ -189,9 +189,8 @@ class RenegotiationScript {
       probe.release = clock_;
       probe.spec.name = job.spec.name;
       probe.spec.chains = {chain};
-      auto profileCopy = arbitrator_.profile();
       sched::GreedyArbitrator greedy;
-      const auto schedule = greedy.tryChain(probe, 0, profileCopy);
+      const auto schedule = greedy.tryChain(probe, 0, arbitrator_.profile());
       EXPECT_FALSE(schedule.has_value())
           << "step " << step << ": dropped job " << job.spec.name
           << " still had feasible chain " << c;

@@ -391,6 +391,39 @@ TEST(ProfileIdentity, ProbeStampsHintWithOwnerId) {
   EXPECT_EQ(hint.version, p.version());
 }
 
+TEST(FitHintResume, ForwardProbesMatchUnhintedOnAFragmentedProfile) {
+  // A chain's probes share one hint and jump forward past each other's
+  // scans, often across many segments; every resumed probe must still
+  // answer exactly as a fresh lookup does.
+  Rng rng(11);
+  AvailabilityProfile p(8);
+  for (int i = 0; i < 400; ++i) {
+    const Time begin = rng.uniformInt(0, 4000);
+    const TimeInterval iv{begin, begin + rng.uniformInt(1, 40)};
+    const int procs = static_cast<int>(rng.uniformInt(1, 8));
+    if (p.minAvailable(iv) >= procs) p.reserve(iv, procs);
+  }
+  ASSERT_GT(p.segmentCount(), 200u);
+  for (int chain = 0; chain < 50; ++chain) {
+    FitHint hint;
+    Time earliest = rng.uniformInt(0, 200);
+    for (int k = 0; k < 8; ++k) {
+      const Time duration = rng.uniformInt(1, 60);
+      const int procs = static_cast<int>(rng.uniformInt(1, 8));
+      const Time deadline = rng.uniformBelow(3) == 0
+                                ? earliest + rng.uniformInt(0, 400)
+                                : kTimeInfinity;
+      const auto hinted =
+          p.findEarliestFit(earliest, duration, procs, deadline, &hint);
+      ASSERT_EQ(hinted, p.findEarliestFit(earliest, duration, procs,
+                                          deadline))
+          << "chain " << chain << " task " << k;
+      earliest = hinted ? *hinted + duration
+                        : earliest + rng.uniformInt(0, 300);
+    }
+  }
+}
+
 TEST(FitHintCrossProfile, HintFromEqualVersionSiblingIsIgnored) {
   // Regression: two profiles can reach identical mutation counters through
   // different histories.  Before the identity token, a hint written by `a`

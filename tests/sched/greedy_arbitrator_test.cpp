@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
+#include "obs/metrics.h"
+#include "sched/baselines.h"
 #include "taskmodel/chain.h"
 
 namespace tprm::sched {
@@ -295,6 +300,160 @@ TEST(GreedyArbitrator, NameReflectsOptions) {
                     .malleablePolicy = MalleablePolicy::EarliestFinish})
                 .name(),
             "greedy-paper");
+}
+
+// Random OR-graph job: 1-3 chains of 1-4 tasks, a mix of rigid and
+// malleable tasks (malleable ones are placed rigidly unless the arbitrator
+// is malleable), cumulative deadlines that are sometimes unconstrained and
+// sometimes too tight, and the occasional task wider than the machine.
+JobInstance randomJob(Rng& rng, Time release, int machine) {
+  JobInstance job;
+  job.release = release;
+  job.spec.name = "random";
+  const auto chains = rng.uniformInt(1, 3);
+  for (std::int64_t c = 0; c < chains; ++c) {
+    Chain chain;
+    chain.name = "c" + std::to_string(c);
+    Time deadline = 0;
+    const auto tasks = rng.uniformInt(1, 4);
+    for (std::int64_t k = 0; k < tasks; ++k) {
+      const int procs = static_cast<int>(rng.uniformInt(1, machine + 1));
+      const Time duration = rng.uniformInt(1, 30);
+      deadline += duration + rng.uniformInt(0, 80);
+      const Time relDeadline =
+          rng.uniformBelow(4) == 0 ? kTimeInfinity : deadline;
+      const double quality = rng.uniformReal(0.5, 1.0);
+      chain.tasks.push_back(
+          rng.uniformBelow(2) == 0
+              ? TaskSpec::rigid("t", procs, duration, relDeadline, quality)
+              : TaskSpec::malleableTask("m", procs, duration,
+                                        static_cast<int>(rng.uniformInt(
+                                            procs, std::max(procs, machine))),
+                                        relDeadline, quality));
+    }
+    job.spec.chains.push_back(std::move(chain));
+  }
+  return job;
+}
+
+/// The entry profile with exactly `placements` reserved on top.
+resource::AvailabilityProfile plus(
+    const resource::AvailabilityProfile& entry,
+    const std::vector<TaskPlacement>& placements) {
+  resource::AvailabilityProfile expected = entry;
+  for (const auto& p : placements) expected.reserve(p.interval, p.processors);
+  return expected;
+}
+
+/// Admits a random job stream and checks after every admission that the
+/// profile gained exactly the decision's placements (or, on rejection and
+/// after every `probe`, nothing at all), and that no Trial is left open.
+void expectAdmitReservesExactlyTheWinner(
+    Arbitrator& arbitrator, const GreedyArbitrator* greedy,
+    std::uint64_t seed) {
+  constexpr int kMachine = 12;
+  Rng rng(seed);
+  resource::AvailabilityProfile profile(kMachine);
+  int admitted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 150; ++i) {
+    const auto job = randomJob(rng, i * 7, kMachine);
+    const auto entry = profile;
+    if (greedy != nullptr) {
+      for (std::size_t c = 0; c < job.spec.chains.size(); ++c) {
+        (void)greedy->tryChain(job, c, profile);
+        ASSERT_EQ(profile.dump(), entry.dump()) << "tryChain, job " << i;
+        ASSERT_FALSE(profile.inTrial());
+      }
+    }
+    const auto decision = arbitrator.admit(job, profile);
+    ASSERT_FALSE(profile.inTrial()) << "job " << i;
+    if (decision.admitted) {
+      ++admitted;
+      ASSERT_EQ(profile.dump(),
+                plus(entry, decision.schedule.placements).dump())
+          << "job " << i;
+    } else {
+      ++rejected;
+      ASSERT_EQ(profile.dump(), entry.dump()) << "rejected job " << i;
+    }
+  }
+  // The stream exercises both outcomes (best effort never rejects).
+  EXPECT_GT(admitted, 0);
+  if (greedy != nullptr) {
+    EXPECT_GT(rejected, 0);
+  }
+}
+
+TEST(GreedyArbitratorProperty, AdmitReservesExactlyTheWinner) {
+  const ChainChoice choices[] = {
+      ChainChoice::Paper, ChainChoice::WindowUtilization,
+      ChainChoice::FirstSchedulable, ChainChoice::Random,
+      ChainChoice::QualityFirst};
+  std::uint64_t seed = 1;
+  for (const auto choice : choices) {
+    for (const auto fit : {FitPolicy::FirstFit, FitPolicy::BestFit}) {
+      for (const bool malleable : {false, true}) {
+        GreedyArbitrator arb(GreedyOptions{.malleable = malleable,
+                                           .chainChoice = choice,
+                                           .fitPolicy = fit,
+                                           .seed = seed});
+        SCOPED_TRACE(arb.name());
+        expectAdmitReservesExactlyTheWinner(arb, &arb, seed++);
+      }
+    }
+  }
+}
+
+TEST(GreedyArbitratorProperty, BestEffortReservesExactlyTheWinner) {
+  BestEffortArbitrator arb;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expectAdmitReservesExactlyTheWinner(arb, nullptr, seed);
+  }
+}
+
+TEST(GreedyArbitrator, AdmitComposesInsideCallerTrial) {
+  // admit() opens no Trial of its own, so a caller's scope captures the
+  // winner's reservations and can undo them.
+  GreedyArbitrator arb;
+  resource::AvailabilityProfile profile(8);
+  profile.reserve(TimeInterval{0, 20}, 5);
+  const auto entry = profile.dump();
+  {
+    resource::AvailabilityProfile::Trial trial(profile);
+    const auto d = arb.admit(fig4StyleJob(0, 1000, 1000), profile);
+    ASSERT_TRUE(d.admitted);
+    EXPECT_NE(profile.dump(), entry);
+  }  // ~Trial rolls the admission back
+  EXPECT_EQ(profile.dump(), entry);
+}
+
+TEST(GreedyArbitrator, FitHintResumesAcrossChainTasks) {
+  // Probing a chain reserves nothing, so the hint written by task k's probe
+  // stays valid for task k+1: one miss (the fresh hint), then two hits.
+  obs::MetricsRegistry registry;
+  auto metrics = obs::ProfileMetrics::fromRegistry(registry, "p");
+  resource::AvailabilityProfile profile(8);
+  profile.reserve(TimeInterval{0, 10}, 6);
+  profile.reserve(TimeInterval{25, 40}, 3);
+  profile.attachMetrics(&metrics);
+
+  JobInstance job;
+  Chain chain;
+  chain.name = "three";
+  chain.tasks = {TaskSpec::rigid("a", 4, 10, kTimeInfinity),
+                 TaskSpec::rigid("b", 6, 10, kTimeInfinity),
+                 TaskSpec::rigid("c", 2, 10, kTimeInfinity)};
+  job.spec.name = "chain3";
+  job.spec.chains = {chain};
+
+  GreedyArbitrator arb;
+  const auto d = arb.admit(job, profile);
+  ASSERT_TRUE(d.admitted);
+  EXPECT_EQ(metrics.fitProbes->value(), 3u);
+  EXPECT_EQ(metrics.fitHintMisses->value(), 1u);
+  EXPECT_EQ(metrics.fitHintHits->value(), 2u);
+  EXPECT_EQ(metrics.trialRollbacks->value(), 0u);
 }
 
 }  // namespace
